@@ -6,7 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "ib/types.hpp"
 
@@ -24,8 +24,10 @@ class MemoryDomain {
   /// Registers [buf, buf+len).  Overlapping registrations are allowed, as in
   /// real verbs.
   MemoryRegion register_memory(void* buf, std::size_t len);
-  const MemoryRegion& register_memory_const(const void* buf, std::size_t len);
+  MemoryRegion register_memory_const(const void* buf, std::size_t len);
 
+  /// Invalidates `mr`'s keys; a second deregister of the same region is a
+  /// no-op.
   void deregister(const MemoryRegion& mr);
 
   /// Resolves an rkey-qualified remote access; throws std::runtime_error on
@@ -35,13 +37,19 @@ class MemoryDomain {
   /// Validates a local-key access the same way.
   void check_lkey(LKey lkey, const void* addr, std::uint64_t len) const;
 
-  [[nodiscard]] std::size_t region_count() const { return by_rkey_.size(); }
+  [[nodiscard]] std::size_t region_count() const { return live_; }
 
  private:
-  std::map<RKey, MemoryRegion> by_rkey_;
-  std::map<LKey, MemoryRegion> by_lkey_;
+  /// The live region behind `key`, or nullptr for a key never handed out or
+  /// already deregistered.
+  [[nodiscard]] const MemoryRegion* find(std::uint32_t key) const;
+
+  // One dense table indexed by key - 1 (a region's lkey and rkey are the
+  // same number).  Keys are handed out monotonically and never reused, so a
+  // stale key always misses; a deregistered slot is a tombstone (lkey 0).
+  std::vector<MemoryRegion> regions_;
+  std::size_t live_ = 0;
   std::uint32_t next_key_ = 1;
-  MemoryRegion last_;
 };
 
 }  // namespace ib12x::ib

@@ -21,7 +21,24 @@ struct CollEngine::Exec {
   };
   std::vector<Round> rounds;
   std::vector<std::vector<int>> dependents;
-  int left = 0;  ///< rounds not yet done
+  int left = 0;   ///< rounds not yet done
+  int first = 0;  ///< every round below this index is done; scans start here
+
+  /// Moves `first` past the done prefix.
+  void advance_first() {
+    while (first < static_cast<int>(rounds.size()) &&
+           rounds[static_cast<std::size_t>(first)].done) {
+      ++first;
+    }
+  }
+
+  /// True when `round`'s posted transfers have all completed.
+  static bool transfers_done(const Round& round) {
+    for (const Request& q : round.pending) {
+      if (!q->done) return false;
+    }
+    return true;
+  }
 };
 
 CollEngine::CollEngine(Endpoint& ep)
@@ -67,21 +84,14 @@ bool CollEngine::step(Exec& e) {
   while (moved) {
     moved = false;
     const int n = static_cast<int>(e.rounds.size());
-    for (int r = 0; r < n; ++r) {
+    for (int r = e.first; r < n; ++r) {
       Exec::Round& round = e.rounds[static_cast<std::size_t>(r)];
       if (!round.issued && round.deps_left == 0) {
         issue_round(e, r);
         moved = true;
       }
       if (round.issued && !round.done) {
-        bool all_done = true;
-        for (const Request& q : round.pending) {
-          if (!q->done) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done) {
+        if (Exec::transfers_done(round)) {
           round.done = true;
           round.pending.clear();
           --e.left;
@@ -93,6 +103,7 @@ bool CollEngine::step(Exec& e) {
         }
       }
     }
+    e.advance_first();
   }
   return e.left == 0;
 }
@@ -135,19 +146,10 @@ Request CollEngine::launch(CollSchedule sched) {
 bool CollEngine::poll_ready() const {
   for (const auto& e : active_) {
     const int n = static_cast<int>(e->rounds.size());
-    for (int r = 0; r < n; ++r) {
+    for (int r = e->first; r < n; ++r) {
       const Exec::Round& round = e->rounds[static_cast<std::size_t>(r)];
       if (!round.issued && round.deps_left == 0) return true;
-      if (round.issued && !round.done) {
-        bool all_done = true;
-        for (const Request& q : round.pending) {
-          if (!q->done) {
-            all_done = false;
-            break;
-          }
-        }
-        if (all_done) return true;
-      }
+      if (round.issued && !round.done && Exec::transfers_done(round)) return true;
     }
   }
   return false;

@@ -11,26 +11,22 @@ ConnManager::ConnManager(ChannelHost& host)
       inflight_hwm_(host.telemetry().counter("conn.handshakes_inflight")) {}
 
 ConnManager::State ConnManager::state(int peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? State::Unconnected : it->second.st;
+  const PeerConn* pc = peers_.find(peer);
+  return pc == nullptr ? State::Unconnected : pc->st;
 }
 
 bool ConnManager::has_queued(int peer) const {
-  auto it = peers_.find(peer);
-  return it != peers_.end() && !it->second.q.empty();
+  const PeerConn* pc = peers_.find(peer);
+  return pc != nullptr && !pc->q.empty();
 }
 
 std::size_t ConnManager::queued(int peer) const {
-  auto it = peers_.find(peer);
-  return it == peers_.end() ? 0 : it->second.q.size();
+  const PeerConn* pc = peers_.find(peer);
+  return pc == nullptr ? 0 : pc->q.size();
 }
 
 std::vector<int> ConnManager::queued_peers() const {
-  std::vector<int> out;
-  for (const auto& [rank, pc] : peers_) {
-    if (!pc.q.empty()) out.push_back(rank);
-  }
-  return out;
+  return {queued_.begin(), queued_.end()};
 }
 
 void ConnManager::initiate(int peer) {
@@ -76,22 +72,24 @@ void ConnManager::mark_ready(int peer) {
 
 void ConnManager::enqueue(int peer, QueuedSend qs) {
   peers_[peer].q.push_back(std::move(qs));
+  queued_.insert(peer);
 }
 
 QueuedSend& ConnManager::front(int peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.q.empty()) {
+  PeerConn* pc = peers_.find(peer);
+  if (pc == nullptr || pc->q.empty()) {
     throw std::logic_error("ConnManager: front() on empty queue");
   }
-  return it->second.q.front();
+  return pc->q.front();
 }
 
 void ConnManager::pop_front(int peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.q.empty()) {
+  PeerConn* pc = peers_.find(peer);
+  if (pc == nullptr || pc->q.empty()) {
     throw std::logic_error("ConnManager: pop_front() on empty queue");
   }
-  it->second.q.pop_front();
+  pc->q.pop_front();
+  if (pc->q.empty()) queued_.erase(peer);
 }
 
 }  // namespace ib12x::mvx

@@ -21,10 +21,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <set>
 #include <vector>
 
 #include "mvx/channel.hpp"
+#include "mvx/peer_table.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
@@ -88,7 +89,10 @@ class ConnManager {
   };
 
   ChannelHost& host_;
-  std::map<int, PeerConn> peers_;
+  PeerTable<PeerConn> peers_;
+  /// Peers whose queue is non-empty, kept ascending by enqueue/pop_front so
+  /// queued_peers() costs O(queued), not O(peers).
+  std::set<int> queued_;
   int inflight_ = 0;
 
   Counter& established_;

@@ -42,8 +42,8 @@ void FastPathChannel::connect(FastPathChannel& a, FastPathChannel& b) {
 bool FastPathChannel::accepts(int peer, std::int64_t bytes) const {
   const Config& cfg = host_.config();
   if (!cfg.use_rdma_fast_path || bytes > cfg.fast_path_max) return false;
-  auto it = peers_.find(peer);
-  return it != peers_.end() && it->second.credits > 0;
+  const Peer* c = peers_.find(peer);
+  return c != nullptr && c->credits > 0;
 }
 
 void FastPathChannel::send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,

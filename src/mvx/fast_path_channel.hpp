@@ -6,11 +6,11 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <vector>
 
 #include "ib/verbs.hpp"
 #include "mvx/channel.hpp"
+#include "mvx/peer_table.hpp"
 #include "mvx/telemetry.hpp"
 
 namespace ib12x::mvx {
@@ -60,7 +60,7 @@ class FastPathChannel final : public Channel {
   void credit_return(int peer);
 
   NetChannel& net_;
-  std::map<int, Peer> peers_;
+  PeerTable<Peer> peers_;
   Counter& sent_;
   Counter& bytes_sent_;
 };

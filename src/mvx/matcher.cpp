@@ -11,15 +11,25 @@ Matcher::Matcher(TelemetryRegistry& tel)
       matched_ctr_(tel.counter("matcher.matched")),
       dup_dropped_(tel.counter("fault.dup_dropped")) {}
 
+Matcher::SeqStream& Matcher::stream(int peer, int ctx, int vci) {
+  const auto p = static_cast<std::size_t>(peer);
+  if (p >= seq_.size()) seq_.resize(p + 1);
+  std::vector<SeqStream>& row = seq_[p];
+  for (SeqStream& s : row) {
+    if (s.ctx == ctx && s.vci == vci) return s;
+  }
+  return row.emplace_back(SeqStream{ctx, vci});
+}
+
 std::uint32_t Matcher::next_send_seq(int peer, int ctx, int vci) {
-  return send_seq_[{peer, ctx, vci}]++;
+  return stream(peer, ctx, vci).send++;
 }
 
 std::vector<Matcher::Inbound> Matcher::sequence(int peer, const MsgHeader& hdr,
                                                 std::vector<std::byte> payload) {
   std::vector<Inbound> ready;
   const int vci = hdr.vci;
-  std::uint32_t& next = next_seq_[{peer, hdr.ctx, vci}];
+  std::uint32_t& next = stream(peer, hdr.ctx, vci).next;
   if (hdr.seq < next ||
       (hdr.seq != next && reorder_.count({peer, hdr.ctx, vci, hdr.seq}) != 0)) {
     // Duplicate delivery: a fault-injection replay of a message whose first

@@ -92,9 +92,19 @@ class Matcher {
   // Sequence counters and the reorder park are keyed by (peer, ctx, vci):
   // every VCI is its own ordered stream, so a replayed (peer, seq) pair from
   // one VCI can never alias a live message on another.
-  using SeqKey = std::tuple<int, int, int>;               // (peer, ctx, vci)
-  std::map<SeqKey, std::uint32_t> send_seq_;
-  std::map<SeqKey, std::uint32_t> next_seq_;              // receive side
+  struct SeqStream {
+    int ctx = 0;
+    int vci = 0;
+    std::uint32_t send = 0;  ///< next sequence number to send
+    std::uint32_t next = 0;  ///< next sequence number expected (receive side)
+  };
+  /// The (peer, ctx, vci) stream, created on first use.
+  SeqStream& stream(int peer, int ctx, int vci);
+
+  // The counters are touched on every message, so they sit in one row per
+  // peer, indexed by rank; a row holds the few (ctx, vci) streams that peer
+  // has used and is scanned linearly.
+  std::vector<std::vector<SeqStream>> seq_;
   std::map<std::tuple<int, int, int, std::uint32_t>, Inbound> reorder_;  // (peer, ctx, vci, seq)
 
   std::vector<PostedRecv> posted_;

@@ -234,12 +234,12 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
 }
 
 NetChannel::Peer& NetChannel::peer(int rank) {
-  auto it = peers_.find(rank);
-  if (it == peers_.end()) {
+  Peer* c = peers_.find(rank);
+  if (c == nullptr) {
     throw std::logic_error("NetChannel " + std::to_string(host_.rank()) +
                            ": no connection to rank " + std::to_string(rank));
   }
-  return it->second;
+  return *c;
 }
 
 const NetChannel::Peer& NetChannel::peer(int rank) const {
@@ -247,7 +247,7 @@ const NetChannel::Peer& NetChannel::peer(int rank) const {
 }
 
 bool NetChannel::accepts(int peer_rank, std::int64_t /*bytes*/) const {
-  return peers_.count(peer_rank) != 0;
+  return peers_.contains(peer_rank);
 }
 
 int NetChannel::nrails(int peer_rank) const {

@@ -21,6 +21,7 @@
 
 #include "ib/verbs.hpp"
 #include "mvx/channel.hpp"
+#include "mvx/peer_table.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/telemetry.hpp"
 
@@ -322,7 +323,7 @@ class NetChannel final : public Channel {
   ib::CompletionQueue scq_;
   ib::CompletionQueue rcq_;
 
-  std::map<int, Peer> peers_;
+  PeerTable<Peer> peers_;
   std::vector<std::unique_ptr<RecvSlot>> recv_slots_;
   std::vector<HcaPool> pools_;  ///< per local HCA, SRQ mode only
 

@@ -21,7 +21,7 @@ void ShmChannel::connect(ShmChannel& a, ShmChannel& b) {
 }
 
 bool ShmChannel::accepts(int peer, std::int64_t /*bytes*/) const {
-  return peers_.count(peer) != 0;
+  return peers_.contains(peer);
 }
 
 void ShmChannel::send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,

@@ -4,9 +4,8 @@
 // ingress path, so ordering and matching behave exactly like net traffic.
 #pragma once
 
-#include <map>
-
 #include "mvx/channel.hpp"
+#include "mvx/peer_table.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/server.hpp"
 
@@ -40,7 +39,7 @@ class ShmChannel final : public Channel {
   /// Delivery on the receiving side (invoked by the sender's event).
   void deliver(int src, MsgHeader hdr, std::vector<std::byte> payload);
 
-  std::map<int, Peer> peers_;
+  PeerTable<Peer> peers_;
   Counter& sent_;
   Counter& bytes_sent_;
 };

@@ -74,5 +74,78 @@ TEST(MemoryDomain, ConstRegistration) {
   EXPECT_NO_THROW(md.check_lkey(mr.lkey, buf.data(), 32));
 }
 
+// ---- the dense key-indexed region table ----
+
+TEST(MemoryDomain, DeregisteredLkeyAndRkeyThrow) {
+  MemoryDomain md;
+  std::vector<std::byte> buf(64);
+  MemoryRegion mr = md.register_memory(buf.data(), buf.size());
+  MemoryRegion keep = md.register_memory(buf.data(), buf.size());
+  md.deregister(mr);
+  EXPECT_THROW(md.check_lkey(mr.lkey, buf.data(), 1), std::runtime_error);
+  EXPECT_THROW(md.translate_rkey(mr.rkey, mr.addr, 1), std::runtime_error);
+  // The neighbouring slot is untouched.
+  EXPECT_NO_THROW(md.check_lkey(keep.lkey, buf.data(), 64));
+  EXPECT_NO_THROW(md.translate_rkey(keep.rkey, keep.addr, 64));
+}
+
+TEST(MemoryDomain, KeysAreNeverReused) {
+  MemoryDomain md;
+  std::vector<std::byte> buf(64);
+  MemoryRegion a = md.register_memory(buf.data(), buf.size());
+  md.deregister(a);
+  MemoryRegion b = md.register_memory(buf.data(), buf.size());
+  EXPECT_NE(b.lkey, a.lkey);
+  EXPECT_NE(b.rkey, a.rkey);
+  // The stale key stays dead even though the same buffer is registered again.
+  EXPECT_THROW(md.check_lkey(a.lkey, buf.data(), 1), std::runtime_error);
+  EXPECT_NO_THROW(md.check_lkey(b.lkey, buf.data(), 1));
+}
+
+TEST(MemoryDomain, DoubleDeregisterIsNoOp) {
+  MemoryDomain md;
+  std::vector<std::byte> buf(64);
+  MemoryRegion a = md.register_memory(buf.data(), buf.size());
+  MemoryRegion b = md.register_memory(buf.data(), buf.size());
+  md.deregister(a);
+  EXPECT_EQ(md.region_count(), 1u);
+  md.deregister(a);
+  EXPECT_EQ(md.region_count(), 1u);
+  EXPECT_NO_THROW(md.check_lkey(b.lkey, buf.data(), 1));
+}
+
+TEST(MemoryDomain, UnknownKeyPastTableEndThrowsWithoutGrowing) {
+  MemoryDomain md;
+  std::vector<std::byte> buf(64);
+  MemoryRegion a = md.register_memory(buf.data(), buf.size());
+  EXPECT_THROW(md.check_lkey(1u << 30, buf.data(), 1), std::runtime_error);
+  EXPECT_THROW(md.translate_rkey(0xffffffffu, a.addr, 1), std::runtime_error);
+  EXPECT_THROW(md.check_lkey(0, buf.data(), 1), std::runtime_error);
+  md.deregister(MemoryRegion{a.addr, a.length, 1u << 30, 1u << 30});  // unknown: no-op
+  EXPECT_EQ(md.region_count(), 1u);
+  // The next key follows straight on from the last one handed out.
+  MemoryRegion b = md.register_memory(buf.data(), buf.size());
+  EXPECT_EQ(b.lkey, a.lkey + 1);
+}
+
+TEST(MemoryDomain, RegionCountExactThroughEvictionChurn) {
+  // The pin-cache eviction pattern: a small resident set while regions come
+  // and go, 1000 times over.
+  MemoryDomain md;
+  std::vector<std::byte> buf(4096);
+  std::vector<MemoryRegion> live;
+  for (int i = 0; i < 1000; ++i) {
+    live.push_back(md.register_memory(buf.data() + (i % 64), 64));
+    if (live.size() > 8) {
+      md.deregister(live.front());
+      live.erase(live.begin());
+    }
+    ASSERT_EQ(md.region_count(), live.size());
+  }
+  for (const MemoryRegion& mr : live) EXPECT_NO_THROW(md.check_lkey(mr.lkey, buf.data() + 63, 1));
+  for (const MemoryRegion& mr : live) md.deregister(mr);
+  EXPECT_EQ(md.region_count(), 0u);
+}
+
 }  // namespace
 }  // namespace ib12x::ib

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "mvx/coll/engine.hpp"
 #include "mvx/coll/tags.hpp"
 #include "mvx/mpi.hpp"
 #include "mvx_test_util.hpp"
@@ -262,6 +263,63 @@ TEST(CollEngine, IbcastOverlapsWithCompute) {
     EXPECT_LT(t_total, 2 * t_coll + t_coll);
     const std::vector<std::byte> want = testutil::payload(kBytes, 0, 42);
     ASSERT_EQ(buf, want);
+  });
+}
+
+// ----------------------------------------------------------- round cursor
+
+TEST(CollEngine, RoundCursorWaitsForSlowFirstRound) {
+  // A hand-built allgather on 2 ranks whose round 0 finishes last.  Round 0
+  // receives the peer's piece 0 into a staging buffer; rounds 1..k exchange
+  // pieces 1..k straight into the output and finish first; the peer only
+  // sends piece 0 (round k+1) once its rounds 1..k are done.  Round k+2
+  // depends on round 0 alone and copies the staged piece into place.  The
+  // engine's scan cursor sits on round 0 the whole time: it must keep
+  // polling it (not skip it because it was issued) and must not issue round
+  // k+2 before it completes.  The first mistake deadlocks the run; the
+  // second copies a still-zero staging buffer, so the result differs from
+  // the blocking allgather.
+  const int k = 6;
+  const std::size_t piece = 1024;
+  const std::size_t n = static_cast<std::size_t>(k + 1) * piece;
+  const int kCtx = 1 << 20;  // no communicator allocates a context this high
+  const int kTagFirst = 100;
+  World w(ClusterSpec{2, 1}, Config::enhanced(4, Policy::EPC));
+  w.run([&](Communicator& c) {
+    const int me = c.rank();
+    const int peer = 1 - me;
+    const std::vector<std::byte> mine = testutil::payload(n, me, 9);
+    std::vector<std::byte> out(2 * n);
+    std::vector<std::byte> staged(piece);
+    auto out_piece = [&](int owner, int i) {
+      return out.data() + static_cast<std::size_t>(owner) * n + static_cast<std::size_t>(i) * piece;
+    };
+    auto my_piece = [&](int i) { return mine.data() + static_cast<std::size_t>(i) * piece; };
+
+    coll::CollSchedule s;
+    s.ctx = kCtx;
+    const int first = s.add_round();
+    s.irecv(first, peer, kTagFirst, staged.data(), static_cast<std::int64_t>(piece));
+    std::vector<int> middle;
+    for (int i = 1; i <= k; ++i) {
+      const int r = s.add_round();
+      s.isend(r, peer, i, my_piece(i), static_cast<std::int64_t>(piece));
+      s.irecv(r, peer, i, out_piece(peer, i), static_cast<std::int64_t>(piece));
+      middle.push_back(r);
+    }
+    const int late_send = s.add_round(middle);
+    s.isend(late_send, peer, kTagFirst, my_piece(0), static_cast<std::int64_t>(piece));
+    const int dependent = s.add_round({first});
+    s.copy(dependent, out_piece(peer, 0), staged.data(), static_cast<std::int64_t>(piece));
+    s.copy(dependent, out_piece(me, 0), mine.data(), static_cast<std::int64_t>(n));
+
+    Request req = c.endpoint().coll_engine().launch(std::move(s));
+    c.wait(req);
+
+    std::vector<std::byte> ref(2 * n);
+    c.allgather(mine.data(), ref.data(), n, BYTE);
+    ASSERT_EQ(out, ref);
+    EXPECT_EQ(c.endpoint().coll_engine().in_flight(), 0);
   });
 }
 

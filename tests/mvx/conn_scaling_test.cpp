@@ -5,10 +5,12 @@
 // QPs and pinned eager bytes O(active peers), not O(ranks²).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "mvx/conn_manager.hpp"
 #include "mvx/mpi.hpp"
 #include "mvx/wire.hpp"
 #include "mvx_test_util.hpp"
@@ -227,6 +229,88 @@ TEST(ConnScaling, ConcurrentSendersHitPoolDryBackpressure) {
     }
   });
   EXPECT_GE(w.telemetry().counter_value("srq.pool_dry"), 1u);
+}
+
+TEST(ConnScaling, QueuedPeersExactAndAscending) {
+  // queued_peers() is maintained incrementally by enqueue/pop_front; it must
+  // list exactly the peers with a non-empty queue, ascending, after every
+  // step — including a peer that drains and then queues again.
+  World w(ClusterSpec{10, 1}, Config{});
+  ConnManager mgr(w.endpoint(0));
+  auto send_of = [](int tag) { return QueuedSend{CommKind::Nonblocking, nullptr, 0, tag, 0, {}}; };
+  EXPECT_TRUE(mgr.queued_peers().empty());
+  mgr.enqueue(9, send_of(90));
+  EXPECT_EQ(mgr.queued_peers(), (std::vector<int>{9}));
+  mgr.enqueue(2, send_of(20));
+  mgr.enqueue(2, send_of(21));
+  EXPECT_EQ(mgr.queued_peers(), (std::vector<int>{2, 9}));
+  mgr.enqueue(5, send_of(50));
+  EXPECT_EQ(mgr.queued_peers(), (std::vector<int>{2, 5, 9}));
+
+  EXPECT_EQ(mgr.front(2).tag, 20);
+  mgr.pop_front(2);
+  EXPECT_EQ(mgr.queued_peers(), (std::vector<int>{2, 5, 9}));  // one send still queued
+  EXPECT_EQ(mgr.front(2).tag, 21);
+  mgr.pop_front(2);
+  EXPECT_EQ(mgr.queued_peers(), (std::vector<int>{5, 9}));
+  EXPECT_FALSE(mgr.has_queued(2));
+  EXPECT_THROW(mgr.pop_front(2), std::logic_error);
+  EXPECT_EQ(mgr.queued_peers(), (std::vector<int>{5, 9}));
+
+  mgr.enqueue(2, send_of(22));
+  EXPECT_EQ(mgr.queued_peers(), (std::vector<int>{2, 5, 9}));
+  EXPECT_EQ(mgr.queued(2), 1u);
+  mgr.pop_front(9);
+  mgr.pop_front(5);
+  mgr.pop_front(2);
+  EXPECT_TRUE(mgr.queued_peers().empty());
+}
+
+TEST(ConnScaling, PoolDryFlushDrainsPeersInAscendingOrder) {
+  // One sender bounce buffer: only one eager send can be in flight, so every
+  // send CQE re-flushes the queued peers — in ascending rank order.  Rank 0
+  // queues 3 sends each to ranks 9, 2, 5 (in that order) behind their
+  // handshakes.  Peer 9's handshake completes first and its flush takes the
+  // only buffer; from then on each freed buffer goes to the lowest queued
+  // peer, so the dispatch order is 9, then all of 2, all of 5, rest of 9.
+  Config cfg;
+  cfg.send_bounce_bufs = 1;
+  const int kMsgs = 3;
+  const std::vector<int> dsts{9, 2, 5};
+  std::vector<std::vector<sim::Time>> arrival(10);
+  World w(ClusterSpec{10, 1}, cfg);
+  w.run([&](Communicator& c) {
+    if (c.rank() == 0) {
+      std::vector<std::vector<std::byte>> bufs;
+      std::vector<Request> reqs;
+      for (int dst : dsts) {
+        for (int i = 0; i < kMsgs; ++i) {
+          bufs.push_back(payload(64, dst, i));
+          reqs.push_back(c.isend(bufs.back().data(), bufs.back().size(), BYTE, dst, i));
+        }
+      }
+      EXPECT_EQ(c.endpoint().conn().queued_peers(), (std::vector<int>{2, 5, 9}));
+      c.waitall(reqs);
+    } else if (std::find(dsts.begin(), dsts.end(), c.rank()) != dsts.end()) {
+      for (int i = 0; i < kMsgs; ++i) {
+        std::vector<std::byte> in(64);
+        Request r = c.irecv(in.data(), in.size(), BYTE, 0, i);
+        c.wait(r);
+        ASSERT_EQ(in, payload(64, c.rank(), i));
+        arrival[static_cast<std::size_t>(c.rank())].push_back(r->completed_at);
+      }
+    }
+  });
+  EXPECT_TRUE(w.endpoint(0).conn().queued_peers().empty());
+  const auto& a2 = arrival[2];
+  const auto& a5 = arrival[5];
+  const auto& a9 = arrival[9];
+  ASSERT_EQ(a2.size(), 3u);
+  ASSERT_EQ(a5.size(), 3u);
+  ASSERT_EQ(a9.size(), 3u);
+  EXPECT_LT(a9[0], a2[0]);
+  EXPECT_LT(a2[2], a5[0]) << "peer 2 must drain before peer 5";
+  EXPECT_LT(a5[2], a9[1]) << "peer 5 must drain before the rest of peer 9";
 }
 
 }  // namespace
