@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "ib/types.hpp"
 #include "mvx/config.hpp"
@@ -43,6 +44,15 @@ struct RndvStripe {
   CtsRkeys rkeys;
   int attempts = 0;  ///< failover re-posts of this stripe so far
 };
+
+/// Where a send runs.  Process context is the issuing rank's own fiber: it
+/// may wait on progress() for a credit, bounce buffer or live rail, and its
+/// CPU is charged inline (Process::compute).  Event context is the
+/// connection manager's queued-send flush, running inside a completion or
+/// handshake event: it must not block, so a send that finds its resources
+/// dry leaves every cursor as it was and reports false, and its CPU is
+/// charged on the message's VCI progress server (schedule_cpu_vci).
+enum class SendContext : std::uint8_t { Process, Event };
 
 /// What a channel (or protocol module) may ask of its owning endpoint.
 class ChannelHost {
@@ -120,6 +130,29 @@ class ChannelHost {
   ~ChannelHost() = default;
 };
 
+/// Charges `cost` of send-side host CPU, then runs `post`: inline on the
+/// calling process in process context, on VCI `vci`'s progress server in
+/// event context.
+template <class Fn>
+void charge_send_cpu(ChannelHost& host, SendContext sc, int vci, sim::Time cost, Fn&& post) {
+  if (sc == SendContext::Process) {
+    host.process().compute(cost);
+    post();
+  } else {
+    host.schedule_cpu_vci(vci, cost, std::forward<Fn>(post));
+  }
+}
+
+/// Completes a buffered send once it is posted.  Process context sets the
+/// request done directly (the issuing fiber is running, so nobody waits on
+/// it yet); event context goes through complete_request, which wakes waiters.
+void finish_buffered_send(ChannelHost& host, SendContext sc, const Request& req);
+
+/// The header of one sequenced message (Eager or Rts) to `peer`, claiming
+/// the next sequence number of (peer, ctx, vci).
+MsgHeader sequenced_header(ChannelHost& host, MsgType type, int peer, CommKind kind, int vci,
+                           int tag, int ctx, std::int64_t bytes);
+
 /// One transport to a set of peers.
 class Channel {
  public:
@@ -134,9 +167,11 @@ class Channel {
   /// the net channel).
   [[nodiscard]] virtual bool accepts(int peer, std::int64_t bytes) const = 0;
 
-  /// Starts one message.  Process context; may block on channel resources.
-  virtual void send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                    int ctx, const Request& req) = 0;
+  /// Starts one message.  In process context this may block on channel
+  /// resources and always returns true; in event context it returns false,
+  /// having claimed nothing, when the resources are dry.
+  virtual bool send(SendContext sc, int peer, CommKind kind, const void* buf, std::int64_t bytes,
+                    int tag, int ctx, const Request& req) = 0;
 
  protected:
   ChannelHost& host_;

@@ -14,8 +14,8 @@
 // Ready; the loser's handshake completion then just flushes.
 //
 // Sends posted while Connecting are queued FIFO per peer and flushed — in
-// order, via the channels' event-context send paths — when the peer turns
-// Ready (`flush_fn_`, provided by Endpoint).
+// order, through the endpoint's send router in event context — when the
+// peer turns Ready (`flush_fn_`, provided by Endpoint).
 #pragma once
 
 #include <cstdint>
@@ -56,7 +56,8 @@ class ConnManager {
   /// Wires one pair end to end (both sides' QPs/rails/rings) once a
   /// handshake completes; must call mark_ready on both sides' managers.
   void set_wire_fn(std::function<void(int)> fn) { wire_fn_ = std::move(fn); }
-  /// Drains a Ready peer's send queue through event-context channel paths.
+  /// Drains a Ready peer's send queue through the send router in event
+  /// context.
   void set_flush_fn(std::function<void(int)> fn) { flush_fn_ = std::move(fn); }
 
   [[nodiscard]] State state(int peer) const;

@@ -2,19 +2,30 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ib12x::mvx {
 
 namespace {
 
+/// Integer sums and products wrap modulo 2^bits, as MPI reductions of
+/// checksums (NAS IS) expect; signed overflow itself would be undefined.
+template <typename T>
+using Wrap = typename std::conditional_t<std::is_integral_v<T>, std::make_unsigned<T>,
+                                         std::type_identity<T>>::type;
+
 template <typename T>
 void apply_arith(Op op, T* inout, const T* in, std::size_t n) {
   switch (op) {
     case Op::Sum:
-      for (std::size_t i = 0; i < n; ++i) inout[i] = inout[i] + in[i];
+      for (std::size_t i = 0; i < n; ++i) {
+        inout[i] = static_cast<T>(static_cast<Wrap<T>>(inout[i]) + static_cast<Wrap<T>>(in[i]));
+      }
       return;
     case Op::Prod:
-      for (std::size_t i = 0; i < n; ++i) inout[i] = inout[i] * in[i];
+      for (std::size_t i = 0; i < n; ++i) {
+        inout[i] = static_cast<T>(static_cast<Wrap<T>>(inout[i]) * static_cast<Wrap<T>>(in[i]));
+      }
       return;
     case Op::Max:
       for (std::size_t i = 0; i < n; ++i) inout[i] = std::max(inout[i], in[i]);

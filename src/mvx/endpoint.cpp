@@ -148,12 +148,13 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
   req->vci = vci_for(ctx);
   if (!vci_sends_.empty()) vci_sends_.at(static_cast<std::size_t>(req->vci))->inc();
 
+  QueuedSend qs{kind, buf, bytes, tag, ctx, req};
   if (cfg_.lazy_connect && (!conn_->ready(dst) || conn_->has_queued(dst))) {
     // First contact (or a flush still in progress, which queued sends must
     // not overtake): start the handshake and park the send.  initiate() is
     // idempotent, so re-queueing behind an in-flight flush costs nothing.
     conn_->initiate(dst);
-    conn_->enqueue(dst, QueuedSend{kind, buf, bytes, tag, ctx, req});
+    conn_->enqueue(dst, std::move(qs));
     return req;
   }
 
@@ -161,26 +162,29 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
   // VCI serialize here (lock + serialized doorbells), threads on dedicated
   // VCIs proceed independently.  No-op in single-threaded ranks.
   lock_vci(req->vci);
-  // Route to the highest-priority channel that accepts the message; the net
-  // channel splits at the rendezvous threshold between the eager protocol
-  // and the RTS/CTS/FIN state machine.
-  if (shm_->accepts(dst, bytes)) {
-    shm_->send(dst, kind, buf, bytes, tag, ctx, req);
-  } else if (fast_path_->accepts(dst, bytes)) {
-    fast_path_->send(dst, kind, buf, bytes, tag, ctx, req);
-  } else if (net_->accepts(dst, bytes)) {
-    if (bytes < cfg_.rndv_threshold) {
-      net_->send(dst, kind, buf, bytes, tag, ctx, req);
-    } else {
-      rndv_->send_rts(dst, kind, buf, bytes, tag, ctx, req);
-    }
-  } else {
-    unlock_vci(req->vci);
+  route_send(SendContext::Process, dst, qs);
+  unlock_vci(req->vci);
+  return req;
+}
+
+bool Endpoint::route_send(SendContext sc, int dst, const QueuedSend& s) {
+  // The highest-priority channel that accepts the message; the net channel
+  // splits at the rendezvous threshold between the eager protocol and the
+  // RTS/CTS/FIN state machine.
+  if (shm_->accepts(dst, s.bytes)) {
+    return shm_->send(sc, dst, s.kind, s.buf, s.bytes, s.tag, s.ctx, s.req);
+  }
+  if (fast_path_->accepts(dst, s.bytes)) {
+    return fast_path_->send(sc, dst, s.kind, s.buf, s.bytes, s.tag, s.ctx, s.req);
+  }
+  if (!net_->accepts(dst, s.bytes)) {
     throw std::logic_error("Endpoint " + std::to_string(rank_) + ": no connection to rank " +
                            std::to_string(dst));
   }
-  unlock_vci(req->vci);
-  return req;
+  if (s.bytes < cfg_.rndv_threshold) {
+    return net_->send(sc, dst, s.kind, s.buf, s.bytes, s.tag, s.ctx, s.req);
+  }
+  return rndv_->send_rts(sc, dst, s.kind, s.bytes, s.tag, s.ctx, s.req);
 }
 
 Request Endpoint::start_recv(void* buf, std::int64_t capacity, int src, int tag, int ctx) {
@@ -306,20 +310,8 @@ void Endpoint::on_rndv_imm(std::uint32_t imm_data) { rndv_->on_imm(imm_data); }
 
 void Endpoint::flush_queued(int peer) {
   while (conn_->has_queued(peer)) {
-    QueuedSend& qs = conn_->front(peer);
-    bool sent;
-    if (shm_->accepts(peer, qs.bytes)) {
-      shm_->send_evt(peer, qs.kind, qs.buf, qs.bytes, qs.tag, qs.ctx, qs.req);
-      sent = true;
-    } else if (fast_path_->accepts(peer, qs.bytes)) {
-      fast_path_->send_evt(peer, qs.kind, qs.buf, qs.bytes, qs.tag, qs.ctx, qs.req);
-      sent = true;
-    } else if (qs.bytes < cfg_.rndv_threshold) {
-      sent = net_->try_send(peer, qs.kind, qs.buf, qs.bytes, qs.tag, qs.ctx, qs.req);
-    } else {
-      sent = rndv_->try_send_rts(peer, qs.kind, qs.buf, qs.bytes, qs.tag, qs.ctx, qs.req);
-    }
-    if (!sent) return;  // resources dry — the freeing CQE re-flushes
+    // Resources dry: the freeing CQE re-flushes.
+    if (!route_send(SendContext::Event, peer, conn_->front(peer))) return;
     conn_->pop_front(peer);
   }
 }

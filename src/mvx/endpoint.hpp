@@ -47,6 +47,7 @@ class CollEngine;
 }
 
 class ConnManager;
+struct QueuedSend;
 class Counter;
 class FastPathChannel;
 class Matcher;
@@ -143,9 +144,14 @@ class Endpoint final : public ChannelHost {
   void complete_request(const Request& req) override;
 
  private:
-  /// Drains `peer`'s queued sends in FIFO order through the channels'
-  /// event-context paths, stopping at the first one that cannot get
-  /// resources (a later CQE re-flushes).
+  /// Routes one send to the highest-priority channel that accepts it (shm →
+  /// RDMA fast path → net eager / rendezvous).  start_send calls it in
+  /// process context, flush_queued in event context; false means event
+  /// context found the resources dry and claimed nothing.
+  bool route_send(SendContext sc, int dst, const QueuedSend& s);
+  /// Drains `peer`'s queued sends in FIFO order through route_send in event
+  /// context, stopping at the first one that cannot get resources (a later
+  /// CQE re-flushes).
   void flush_queued(int peer);
   /// Matched eager arrival: copy out, then complete after the copy's CPU
   /// time has been charged (on the message's VCI progress server).

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "mvx/matcher.hpp"
 #include "mvx/net_channel.hpp"
 
 namespace ib12x::mvx {
@@ -46,76 +45,29 @@ bool FastPathChannel::accepts(int peer, std::int64_t bytes) const {
   return c != nullptr && c->credits > 0;
 }
 
-void FastPathChannel::send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                           int ctx, const Request& req) {
+bool FastPathChannel::send(SendContext sc, int peer, CommKind kind, const void* buf,
+                           std::int64_t bytes, int tag, int ctx, const Request& req) {
+  // The caller checked accepts(), so a ring slot is free in either context.
   Peer& c = peers_.at(peer);
   const Config& cfg = host_.config();
   const int slot = c.head;
   c.head = (c.head + 1) % cfg.fast_path_slots;
   --c.credits;
 
-  MsgHeader hdr;
-  hdr.type = MsgType::Eager;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
   // The fast path is mutually exclusive with VCIs (enforced by World's config
   // validation), so its traffic always rides sequence space 0.
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, 0);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-
-  std::byte* stage = c.send_stage.data() + static_cast<std::size_t>(slot) * c.slot_bytes;
-  write_header(stage, hdr);
-  if (bytes > 0) std::memcpy(stage + kHeaderBytes, buf, static_cast<std::size_t>(bytes));
-  host_.process().compute(cfg.post_cpu +
-                          host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes));
-
-  // The receiver's poll loop notices the tail flag one poll period after the
-  // data lands.
-  FastPathChannel* remote = c.remote;
-  const int me = host_.rank();
-  sim::Simulator& sim = host_.simulator();
-  const sim::Time poll = cfg.poll_delay;
-  net_.post_fp_write(peer, stage, static_cast<std::uint32_t>(kHeaderBytes + bytes), c.stage_lkey,
-                     c.raddr + static_cast<std::uint64_t>(slot) * c.slot_bytes, c.rkey,
-                     [remote, me, slot, &sim, poll] {
-                       sim.after(poll, [remote, me, slot] { remote->arrival(me, slot); });
-                     });
-
-  sent_.inc();
-  bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-  req->done = true;  // buffered: the payload is staged
-  req->completed_at = sim.now();
-}
-
-void FastPathChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t bytes,
-                               int tag, int ctx, const Request& req) {
-  Peer& c = peers_.at(peer);
-  const Config& cfg = host_.config();
-  const int slot = c.head;
-  c.head = (c.head + 1) % cfg.fast_path_slots;
-  --c.credits;
-
-  MsgHeader hdr;
-  hdr.type = MsgType::Eager;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  // Claimed at dispatch so a flushed queue keeps MPI ordering (see
-  // NetChannel::try_send).  Fast path is VCI-exclusive: sequence space 0.
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, 0);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-
+  const MsgHeader hdr = sequenced_header(host_, MsgType::Eager, peer, kind, 0, tag, ctx, bytes);
   std::byte* stage = c.send_stage.data() + static_cast<std::size_t>(slot) * c.slot_bytes;
   write_header(stage, hdr);
   if (bytes > 0) std::memcpy(stage + kHeaderBytes, buf, static_cast<std::size_t>(bytes));
 
-  host_.schedule_cpu(
+  charge_send_cpu(
+      host_, sc, 0,
       cfg.post_cpu + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
-      [this, peer, slot, stage, bytes, req] {
-        Peer& cc = peers_.at(peer);
+      [this, sc, peer, slot, stage, bytes, req] {
+        const Peer& cc = peers_.at(peer);
+        // The receiver's poll loop notices the tail flag one poll period
+        // after the data lands.
         FastPathChannel* remote = cc.remote;
         const int me = host_.rank();
         sim::Simulator& sim = host_.simulator();
@@ -128,8 +80,9 @@ void FastPathChannel::send_evt(int peer, CommKind kind, const void* buf, std::in
                            });
         sent_.inc();
         bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-        host_.complete_request(req);
+        finish_buffered_send(host_, sc, req);  // buffered: the payload is staged
       });
+  return true;
 }
 
 void FastPathChannel::arrival(int src, int slot) {

@@ -30,14 +30,8 @@ class FastPathChannel final : public Channel {
   /// falls through to the net channel's eager path.
   [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
 
-  void send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-            const Request& req) override;
-
-  /// Event-context twin of send() for flushing sends queued behind a lazy
-  /// handshake.  The caller must have checked accepts(); the slot and credit
-  /// are reserved synchronously, so this cannot fail.
-  void send_evt(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-                const Request& req);
+  bool send(SendContext sc, int peer, CommKind kind, const void* buf, std::int64_t bytes,
+            int tag, int ctx, const Request& req) override;
 
  private:
   struct Peer {

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ib/fault.hpp"
-#include "mvx/matcher.hpp"
 
 namespace ib12x::mvx {
 
@@ -311,123 +310,104 @@ int NetChannel::remap_live(const Peer& c, int rail) const {
   return rail;
 }
 
-void NetChannel::wait_any_rail_up(int peer_rank, int vci) {
-  Peer& c = peer(peer_rank);
+bool NetChannel::any_rail_up(const Peer& c, int vci) const {
   const int n = host_.config().rails();
-  const std::size_t base = static_cast<std::size_t>(vci) * static_cast<std::size_t>(n);
-  host_.process().wait_until(host_.progress(), [&c, base, n] {
-    for (int i = 0; i < n; ++i) {
-      if (c.rails[base + static_cast<std::size_t>(i)].up) return true;
-    }
-    return false;
-  });
+  for (int i = vci * n; i < (vci + 1) * n; ++i) {
+    if (c.rails[static_cast<std::size_t>(i)].up) return true;
+  }
+  return false;
 }
 
-// ------------------------------------------------------------- eager sends
+void NetChannel::wait_any_rail_up(const Peer& c, int vci) {
+  if (any_rail_up(c, vci)) return;
+  host_.process().wait_until(host_.progress(), [this, &c, vci] { return any_rail_up(c, vci); });
+}
+
+// --------------------------------------------------------------- send core
+
+bool NetChannel::admit(SendContext sc, int peer_rank, int rail, MsgType type) const {
+  if (sc == SendContext::Process) return true;  // the process waits in post_msg instead
+  const Peer& c = peer(peer_rank);
+  if (fault_enabled_) {
+    if (!any_rail_up(c, rail / host_.config().rails())) return false;
+    rail = remap_live(c, rail);
+  }
+  if (c.rails.at(static_cast<std::size_t>(rail)).credits > 0 && !free_bounce_.empty()) return true;
+  // A flushed eager send that finds no credit or bounce buffer counts as a
+  // credit stall; a flushed RTS never has.
+  if (type == MsgType::Eager) credit_stalls_.inc();
+  return false;
+}
 
 int NetChannel::acquire_bounce_and_credit(Peer& c, int rail) {
-  Rail& r = c.rails.at(static_cast<std::size_t>(rail));
-  if (r.credits <= 0 || free_bounce_.empty()) credit_stalls_.inc();
-  host_.process().wait_until(host_.progress(), [&] { return r.credits > 0 && !free_bounce_.empty(); });
-  // Reserve both resources NOW: between this call and the eventual
-  // post_eager the process charges CPU time, during which an event-context
-  // control send could otherwise steal the last credit and trigger RNR.
-  --r.credits;
-  int b = free_bounce_.back();
+  const auto ready = [this, &c, rail] {
+    return c.rails[static_cast<std::size_t>(rail)].credits > 0 && !free_bounce_.empty();
+  };
+  if (!ready()) {
+    credit_stalls_.inc();
+    host_.process().wait_until(host_.progress(), ready);
+  }
+  // Reserve both resources NOW: between this call and the eventual post the
+  // sender charges CPU time, during which an event-context control send could
+  // otherwise steal the last credit and trigger RNR.
+  --c.rails.at(static_cast<std::size_t>(rail)).credits;
+  const int b = free_bounce_.back();
   free_bounce_.pop_back();
   return b;
 }
 
-void NetChannel::post_eager(Peer& c, int peer_rank, int rail, int bounce, const MsgHeader& hdr,
-                            const void* payload, std::int64_t bytes) {
-  Rail& r = c.rails.at(static_cast<std::size_t>(rail));
-  BounceBuf& bb = bounce_[static_cast<std::size_t>(bounce)];
-  write_header(bb.data.data(), hdr);
-  if (bytes > 0) std::memcpy(bb.data.data() + kHeaderBytes, payload, static_cast<std::size_t>(bytes));
-
-  // The caller has already reserved the credit (acquire_bounce_and_credit
-  // or send_ctl); post_eager only performs the copy and the post.
-  auto* ctx = new SendCtx{SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0,
-                          static_cast<std::int64_t>(kHeaderBytes) + bytes};
-  r.outstanding += static_cast<std::int64_t>(kHeaderBytes) + bytes;
-  if (r.credits < 0) throw std::logic_error("post_eager: credit underflow");
-  r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
-                   .opcode = ib::Opcode::Send,
-                   .src = bb.data.data(),
-                   .length = static_cast<std::uint32_t>(kHeaderBytes + bytes),
-                   .lkey = bb.lkey[r.hca_index]});
+std::int64_t NetChannel::write_bounce(int bounce, const MsgHeader& hdr, const void* payload,
+                                      std::int64_t bytes) {
+  std::byte* dst = bounce_[static_cast<std::size_t>(bounce)].data.data();
+  write_header(dst, hdr);
+  if (bytes > 0) std::memcpy(dst + kHeaderBytes, payload, static_cast<std::size_t>(bytes));
+  return static_cast<std::int64_t>(kHeaderBytes) + bytes;
 }
 
-void NetChannel::send(int peer_rank, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                      int ctx, const Request& req) {
+NetChannel::SendCtx* NetChannel::new_send_ctx(const SendCtx& init) {
+  if (free_send_ctx_.empty()) return &send_ctx_pool_.emplace_back(init);
+  SendCtx* ctx = free_send_ctx_.back();
+  free_send_ctx_.pop_back();
+  *ctx = init;
+  return ctx;
+}
+
+void NetChannel::post_msg(SendContext sc, int peer_rank, int rail, const MsgHeader& hdr,
+                          const void* payload, std::int64_t bytes, sim::Time cpu,
+                          const Request& done) {
+  Peer& c = peer(peer_rank);
+  if (fault_enabled_) {
+    // Failover: never start a send on a rail known to be down.  The rail
+    // choice keeps its cursor arithmetic (so fault-free behaviour is
+    // untouched); the dead-rail remap happens after the fact.
+    wait_any_rail_up(c, hdr.vci);
+    rail = remap_live(c, rail);
+  }
+  const int bounce = acquire_bounce_and_credit(c, rail);
+  const std::int64_t wire = write_bounce(bounce, hdr, payload, bytes);
+  charge_send_cpu(host_, sc, hdr.vci, cpu, [this, sc, peer_rank, rail, bounce, wire, bytes, done] {
+    post_bounce(peer(peer_rank), peer_rank, rail, bounce, wire, /*attempts=*/0);
+    if (done == nullptr) return;
+    eager_sent_.inc();
+    bytes_sent_.add(static_cast<std::uint64_t>(bytes));
+    finish_buffered_send(host_, sc, done);  // eager sends are buffered
+  });
+}
+
+bool NetChannel::send(SendContext sc, int peer_rank, CommKind kind, const void* buf,
+                      std::int64_t bytes, int tag, int ctx, const Request& req) {
   const int vci = req->vci;
   ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
   const Config& cfg = host_.config();
   const int width = cfg.rails();  // rails per VCI: the schedulable slice
   const int base = vci * width;
-  int rail;
-  if (req->lane >= 0) {
-    // Multi-lane collective transfer: pinned to its lane's rail, bypassing
-    // the policy (and leaving the policy's cursor undisturbed).
-    rail = base + req->lane % width;
-  } else {
-    Schedule s = choose_schedule(cfg.policy, kind, bytes, width, cfg.stripe_threshold,
-                                 lane_cursor(c, vci));
-    rail = base + (s.stripe ? 0 : s.rail);  // eager never stripes
-    if (cfg.policy == Policy::Adaptive) {
-      rail = base + (fault_enabled_
-                         ? least_loaded_rail(rail_outstanding(peer_rank, vci),
-                                             rail_up(peer_rank, vci))
-                         : least_loaded_rail(rail_outstanding(peer_rank, vci)));
-    }
-  }
-  if (fault_enabled_) {
-    // Failover: never start an eager send on a rail known to be down.  The
-    // schedule above keeps its cursor arithmetic (so fault-free behaviour is
-    // untouched); the dead-rail remap happens after the fact.
-    wait_any_rail_up(peer_rank, vci);
-    rail = remap_live(c, rail);
-  }
-
-  int bounce = acquire_bounce_and_credit(c, rail);
-  host_.process().compute(cfg.post_cpu +
-                          host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes));
-
-  MsgHeader hdr;
-  hdr.type = MsgType::Eager;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  hdr.seq = host_.matcher().next_send_seq(peer_rank, ctx, vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-  post_eager(c, peer_rank, rail, bounce, hdr, buf, bytes);
-
-  eager_sent_.inc();
-  bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-
-  // Eager sends are buffered: the user buffer is reusable immediately.
-  req->done = true;
-  req->completed_at = host_.simulator().now();
-}
-
-bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::int64_t bytes,
-                          int tag, int ctx, const Request& req) {
-  // Event-context twin of send(): used to flush sends queued behind a lazy
-  // handshake.  It must not block, so instead of waiting on credits it
-  // reports failure and leaves the message queued (a later CQE re-flushes).
-  const int vci = req->vci;
-  ensure_vci(peer_rank, vci);
-  Peer& c = peer(peer_rank);
-  const Config& cfg = host_.config();
-  const int width = cfg.rails();
-  const int base = vci * width;
   RailCursor& cur = lane_cursor(c, vci);
   const RailCursor saved = cur;
   int rail;
   if (req->lane >= 0) {
+    // Multi-lane collective transfer: pinned to its lane's rail, bypassing
+    // the policy (and leaving the policy's cursor undisturbed).
     rail = base + req->lane % width;
   } else {
     Schedule s = choose_schedule(cfg.policy, kind, bytes, width, cfg.stripe_threshold, cur);
@@ -439,97 +419,19 @@ bool NetChannel::try_send(int peer_rank, CommKind kind, const void* buf, std::in
                          : least_loaded_rail(rail_outstanding(peer_rank, vci)));
     }
   }
-  if (fault_enabled_) {
-    bool any_up = false;
-    for (int i = base; i < base + width; ++i) {
-      any_up = any_up || c.rails[static_cast<std::size_t>(i)].up;
-    }
-    if (!any_up) {
-      cur = saved;
-      return false;
-    }
-    rail = remap_live(c, rail);
-  }
-  Rail& r = c.rails.at(static_cast<std::size_t>(rail));
-  if (r.credits <= 0 || free_bounce_.empty()) {
-    credit_stalls_.inc();
+  if (!admit(sc, peer_rank, rail, MsgType::Eager)) {
     cur = saved;
     return false;
   }
-  --r.credits;
-  const int bounce = free_bounce_.back();
-  free_bounce_.pop_back();
-
-  MsgHeader hdr;
-  hdr.type = MsgType::Eager;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  // Sequence numbers are claimed here, at dispatch, so queued sends to one
-  // peer keep MPI ordering no matter when their CPU events run.
-  hdr.seq = host_.matcher().next_send_seq(peer_rank, ctx, vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-
-  host_.schedule_cpu_vci(
-      vci, cfg.post_cpu + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
-      [this, peer_rank, rail, bounce, hdr, buf, bytes, req] {
-        post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, buf, bytes);
-        eager_sent_.inc();
-        bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-        host_.complete_request(req);
-      });
+  post_msg(sc, peer_rank, rail,
+           sequenced_header(host_, MsgType::Eager, peer_rank, kind, vci, tag, ctx, bytes), buf,
+           bytes,
+           cfg.post_cpu + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
+           req);
   return true;
 }
 
 // ---------------------------------------------------------------- controls
-
-void NetChannel::send_ctl_blocking(int peer_rank, int rail, const MsgHeader& hdr,
-                                   const CtsRkeys* rkeys) {
-  ensure_vci(peer_rank, hdr.vci);
-  Peer& c = peer(peer_rank);
-  if (fault_enabled_) {
-    wait_any_rail_up(peer_rank, hdr.vci);
-    rail = remap_live(c, rail);
-  }
-  int bounce = acquire_bounce_and_credit(c, rail);
-  host_.process().compute(host_.config().post_cpu);
-  post_eager(c, peer_rank, rail, bounce, hdr, rkeys,
-             rkeys != nullptr ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0);
-}
-
-int NetChannel::probe_ctl_rail(int peer_rank, int rail) const {
-  // Event-context probe for the non-blocking RTS path: returns a rail that
-  // can take a control message right now, or -1 (leave the send queued).
-  const Peer& c = peer(peer_rank);
-  if (free_bounce_.empty()) return -1;
-  if (fault_enabled_) {
-    bool any_up = false;
-    for (const Rail& r : c.rails) any_up = any_up || r.up;
-    if (!any_up) return -1;
-    rail = remap_live(c, rail);
-  }
-  if (c.rails.at(static_cast<std::size_t>(rail)).credits <= 0) return -1;
-  return rail;
-}
-
-void NetChannel::post_ctl_evt(int peer_rank, int rail, const MsgHeader& hdr,
-                              const CtsRkeys* rkeys) {
-  // Event-context twin of send_ctl_blocking(); the caller has validated the
-  // rail with probe_ctl_rail, so the reservation here cannot fail.
-  Peer& c = peer(peer_rank);
-  --c.rails.at(static_cast<std::size_t>(rail)).credits;
-  const int bounce = free_bounce_.back();
-  free_bounce_.pop_back();
-  const bool with_rkeys = rkeys != nullptr;
-  const CtsRkeys rk = with_rkeys ? *rkeys : CtsRkeys{};
-  host_.schedule_cpu_vci(hdr.vci, host_.config().post_cpu,
-                         [this, peer_rank, rail, bounce, hdr, with_rkeys, rk] {
-    post_eager(peer(peer_rank), peer_rank, rail, bounce, hdr, with_rkeys ? &rk : nullptr,
-               with_rkeys ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0);
-  });
-}
 
 void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& rkeys) {
   const int vci = hdr.vci;
@@ -566,7 +468,8 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
       hdr.type == MsgType::Cts ||
       (hdr.type == MsgType::Rts && hdr.proto == static_cast<std::uint8_t>(RndvProto::ReadRts));
   const std::int64_t payload_bytes = carries_rkeys ? sizeof(CtsRkeys) : 0;
-  post_eager(c, peer_rank, rail, bounce, hdr, &rkeys, payload_bytes);
+  post_bounce(c, peer_rank, rail, bounce, write_bounce(bounce, hdr, &rkeys, payload_bytes),
+              /*attempts=*/0);
   ctl_sent_.inc();
 }
 
@@ -588,7 +491,8 @@ void NetChannel::flush_pending_ctl(int peer_rank) {
 
 void NetChannel::post_write_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
-  auto* sctx = new SendCtx{SendCtx::Kind::RndvWrite, peer_rank, st.rail, -1, st.req_id, st.len};
+  SendCtx* sctx =
+      new_send_ctx({SendCtx::Kind::RndvWrite, peer_rank, st.rail, -1, st.req_id, st.len});
   sctx->attempts = st.attempts;
   // Keep the full stripe descriptor only under fault injection, where an
   // error CQE hands it back to the Rendezvous module for re-planning.
@@ -627,7 +531,8 @@ void NetChannel::post_write_batch(int peer_rank, const std::vector<RndvStripe>& 
 
 void NetChannel::post_read_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred) {
   Rail& r = c.rails.at(static_cast<std::size_t>(st.rail));
-  auto* sctx = new SendCtx{SendCtx::Kind::RndvRead, peer_rank, st.rail, -1, st.req_id, st.len};
+  SendCtx* sctx =
+      new_send_ctx({SendCtx::Kind::RndvRead, peer_rank, st.rail, -1, st.req_id, st.len});
   sctx->attempts = st.attempts;
   if (fault_enabled_) inflight_stripe_.emplace(sctx, st);
   r.outstanding += st.len;
@@ -687,7 +592,7 @@ void NetChannel::post_write_imm(int peer_rank, const RndvStripe& st, std::uint32
   --r.credits;  // reserve; returns with this WQE's CQE
   RndvStripe actual = st;
   actual.rail = rail;
-  auto* sctx = new SendCtx{SendCtx::Kind::RndvImm, peer_rank, rail, -1, st.req_id, st.len};
+  SendCtx* sctx = new_send_ctx({SendCtx::Kind::RndvImm, peer_rank, rail, -1, st.req_id, st.len});
   sctx->attempts = st.attempts;
   if (fault_enabled_) inflight_stripe_.emplace(sctx, actual);
   r.outstanding += st.len;
@@ -716,8 +621,8 @@ void NetChannel::post_fp_write(int peer_rank, const std::byte* src, std::uint32_
                                std::function<void()> delivered_cb) {
   Peer& c = peer(peer_rank);
   Rail& r = c.rails.front();  // the fast path rides rail 0
-  auto* sctx = new SendCtx{SendCtx::Kind::FpWrite, peer_rank, 0, -1, 0,
-                           static_cast<std::int64_t>(len)};
+  SendCtx* sctx =
+      new_send_ctx({SendCtx::Kind::FpWrite, peer_rank, 0, -1, 0, static_cast<std::int64_t>(len)});
   r.outstanding += static_cast<std::int64_t>(len);
   ib::SendWr wr;
   wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
@@ -827,7 +732,7 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         break;
       }
     }
-    delete sctx;
+    free_send_ctx_.push_back(sctx);
   });
 }
 
@@ -1025,7 +930,7 @@ void NetChannel::retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes,
     return;
   }
   --c.rails.at(static_cast<std::size_t>(rail)).credits;
-  post_bounce_raw(c, peer_rank, rail, bounce, wire_bytes, attempts);
+  post_bounce(c, peer_rank, rail, bounce, wire_bytes, attempts);
 }
 
 void NetChannel::flush_pending_retries() {
@@ -1034,11 +939,13 @@ void NetChannel::flush_pending_retries() {
   for (const PendingRetry& p : work) retry_eager(p.peer, p.bounce, p.bytes, p.attempts);
 }
 
-void NetChannel::post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce,
-                                 std::int64_t wire_bytes, int attempts) {
+void NetChannel::post_bounce(Peer& c, int peer_rank, int rail, int bounce,
+                             std::int64_t wire_bytes, int attempts) {
   Rail& r = c.rails.at(static_cast<std::size_t>(rail));
+  // The caller has already reserved the credit; this only posts.
+  if (r.credits < 0) throw std::logic_error("post_bounce: credit underflow");
   BounceBuf& bb = bounce_[static_cast<std::size_t>(bounce)];
-  auto* ctx = new SendCtx{SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0, wire_bytes};
+  SendCtx* ctx = new_send_ctx({SendCtx::Kind::Bounce, peer_rank, rail, bounce, 0, wire_bytes});
   ctx->attempts = attempts;
   r.outstanding += wire_bytes;
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),

@@ -56,36 +56,37 @@ class NetChannel final : public Channel {
   [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
 
   /// Eager send (bytes < rndv_threshold); larger messages go through the
-  /// Rendezvous module, which posts on this channel.
-  void send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-            const Request& req) override;
+  /// Rendezvous module, which sends its RTS through the same core
+  /// (admit + post_msg).  Returns false only in event context, with the
+  /// rail cursor restored and nothing claimed.
+  bool send(SendContext sc, int peer, CommKind kind, const void* buf, std::int64_t bytes,
+            int tag, int ctx, const Request& req) override;
 
-  /// Event-context eager send for the connection manager's queued-send
-  /// flush: same rail choice as send(), but never blocks — returns false
-  /// (cursor restored, nothing reserved) when no credit, bounce buffer or
-  /// live rail is available.  On success the post + copy CPU is charged via
-  /// schedule_cpu and the request completes once posted.
-  bool try_send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-                const Request& req);
+  // ---- the send core for sequenced messages (eager and RTS) ----
+  //
+  // The caller picks `rail` from its cursor, asks admit(), builds the header
+  // (claiming the sequence number) only once admitted, then calls post_msg.
+  // Claiming the sequence number at dispatch, not when the CPU charge ends,
+  // keeps a flushed queue in MPI order whenever its post events run.
 
-  /// Event-context RTS support for the queued-send flush: probe_ctl_rail
-  /// returns the rail (remapped to a live one under faults) on which a
-  /// credit and bounce are reservable right now, or -1; post_ctl_evt then
-  /// reserves them and posts the header-only message after post_cpu.
-  [[nodiscard]] int probe_ctl_rail(int peer, int rail) const;
-  void post_ctl_evt(int peer, int rail, const MsgHeader& hdr, const CtsRkeys* rkeys = nullptr);
+  /// Event context's resource gate: true when a credit and a bounce buffer
+  /// are free on `rail` — remapped to a live rail of its own VCI slice under
+  /// faults — right now.  Always true in process context, which waits in
+  /// post_msg instead.
+  [[nodiscard]] bool admit(SendContext sc, int peer, int rail, MsgType type) const;
+
+  /// Reserves the credit and bounce buffer on `rail` (after the failover
+  /// remap; process context waits for a live rail and then for both), copies
+  /// header and payload into the bounce buffer, charges `cpu`, and posts.
+  /// A non-null `done` is a buffered eager send, completed once posted.
+  void post_msg(SendContext sc, int peer, int rail, const MsgHeader& hdr, const void* payload,
+                std::int64_t bytes, sim::Time cpu, const Request& done);
 
   // ---- services for the Rendezvous module ----
 
   /// Control-message send from event context: takes credit/bounce if
   /// available, otherwise queues until a credit returns.
   void send_ctl(int peer, const MsgHeader& hdr, const CtsRkeys& rkeys);
-
-  /// Process-context control send (RTS): blocks for credit and bounce on
-  /// `rail`, charges post_cpu, then posts the header-only message (or, for
-  /// a ReadRts RTS, the header plus the sender-side rkeys payload).
-  void send_ctl_blocking(int peer, int rail, const MsgHeader& hdr,
-                         const CtsRkeys* rkeys = nullptr);
 
   /// Rails per VCI (the schedulable width one message sees); the flat rail
   /// vector holds wired_vcis × nrails entries.
@@ -208,14 +209,11 @@ class NetChannel final : public Channel {
     int wired_vcis = 0;  ///< QP groups wired so far (rails.size() / rails())
   };
 
-  /// Sender-side context attached to each send WQE via wr_id.  Kept at 40
-  /// bytes — the same glibc bin as before failover support — so fault-free
-  /// allocation sizes are unchanged; the full stripe descriptor an error CQE
-  /// needs for re-planning lives in the inflight_stripe_ side map instead,
-  /// populated only when fault injection is on.
+  /// Sender-side context attached to each send WQE via wr_id, drawn from
+  /// send_ctx_pool_.  The full stripe descriptor an error CQE needs for
+  /// re-planning lives in the inflight_stripe_ side map instead, populated
+  /// only when fault injection is on.
   struct SendCtx {
-    // RndvRead / RndvImm are appended enum values only — the struct stays at
-    // 40 bytes so fault-free allocation sizes are unchanged.
     enum class Kind : std::uint8_t {
       Bounce,
       RndvWrite,
@@ -277,15 +275,21 @@ class NetChannel final : public Channel {
   void on_srq_limit(int hca_index);
   void try_replenish(int hca_index);
 
-  /// Blocks the process until rail `r` has a send credit and a bounce buffer
-  /// is free; returns the bounce index.
+  /// Reserves a send credit on rail `r` and a bounce buffer, waiting on
+  /// progress() until both are free; returns the bounce index.  Never waits
+  /// in event context, where admit() has checked both.
   int acquire_bounce_and_credit(Peer& c, int rail);
 
-  /// Sends header(+payload) on one rail, consuming a credit and a bounce
-  /// buffer the caller already reserved.  Process- or event-context
-  /// agnostic.
-  void post_eager(Peer& c, int peer_rank, int rail, int bounce, const MsgHeader& hdr,
-                  const void* payload, std::int64_t bytes);
+  /// Copies header + payload into a reserved bounce buffer; returns the
+  /// wire length.
+  std::int64_t write_bounce(int bounce, const MsgHeader& hdr, const void* payload,
+                            std::int64_t bytes);
+  /// Posts a filled bounce buffer on `rail`, whose credit the caller has
+  /// already taken.  Also replays failed messages (attempts > 0).
+  void post_bounce(Peer& c, int peer_rank, int rail, int bounce, std::int64_t wire_bytes,
+                   int attempts);
+  /// A SendCtx from the pool, initialised to `init`; on_send_cqe returns it.
+  SendCtx* new_send_ctx(const SendCtx& init);
   /// Builds the SendWr for one rendezvous stripe; deferred WQEs need an
   /// explicit ring_doorbell on the rail's QP afterwards.
   void post_write_impl(Peer& c, int peer_rank, const RndvStripe& st, bool deferred);
@@ -302,9 +306,9 @@ class NetChannel final : public Channel {
   /// First up rail at-or-after `rail` within its VCI's slice, wrapping
   /// inside the slice; `rail` itself if none is up.
   [[nodiscard]] int remap_live(const Peer& c, int rail) const;
-  /// Blocks the calling process until some rail of VCI `vci` to `peer_rank`
-  /// is up.
-  void wait_any_rail_up(int peer_rank, int vci);
+  [[nodiscard]] bool any_rail_up(const Peer& c, int vci) const;
+  /// Blocks the calling process until some rail of VCI `vci` of `c` is up.
+  void wait_any_rail_up(const Peer& c, int vci);
   /// Error CQE seen on (peer, rail): mark it down and start the timed
   /// recovery probe.
   void mark_rail_down(int peer_rank, int rail);
@@ -314,9 +318,6 @@ class NetChannel final : public Channel {
   /// wire image) on a live rail, or parks it until one recovers.
   void retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes, int attempts);
   void flush_pending_retries();
-  /// Raw re-post of an already-filled bounce buffer (credit already taken).
-  void post_bounce_raw(Peer& c, int peer_rank, int rail, int bounce, std::int64_t wire_bytes,
-                       int attempts);
 
   std::vector<ib::Hca*> hcas_;
 
@@ -329,6 +330,11 @@ class NetChannel final : public Channel {
 
   std::vector<BounceBuf> bounce_;
   std::vector<int> free_bounce_;
+  /// Owns every SendCtx, so contexts still in flight when the channel is
+  /// torn down (a run aborted mid-transfer) are freed with it.  A deque keeps
+  /// wr_id pointers stable as the pool grows.
+  std::deque<SendCtx> send_ctx_pool_;
+  std::vector<SendCtx*> free_send_ctx_;
   bool resources_ready_ = false;  ///< ensure_net_resources has run
 
   const bool fault_enabled_;

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "mvx/matcher.hpp"
 #include "mvx/net_channel.hpp"
 #include "sim/log.hpp"
 
@@ -162,94 +161,45 @@ void Rendezvous::record_policy(std::uint64_t cookie, const Request& req) {
 
 // ---------------------------------------------------------------- protocol
 
-void Rendezvous::send_rts(int peer, CommKind kind, const void* /*buf*/, std::int64_t bytes,
-                          int tag, int ctx, const Request& req) {
+bool Rendezvous::send_rts(SendContext sc, int peer, CommKind kind, std::int64_t bytes, int tag,
+                          int ctx, const Request& req) {
   const Config& cfg = host_.config();
   const int vci = req->vci;
   // Control messages round-robin over the VCI's rail slice; the data
-  // schedule is decided at CTS time by the marker-driven policy.
-  Schedule s;
-  if (cfg.rndv_pipeline) {
-    // Control traffic owns its own per-(peer, vci) cursor so RTSes rotate
-    // over the rails instead of pinning to wherever the data cursor sits.
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        net_.ctl_cursor(peer, vci));
-  } else {
-    RailCursor ctl_cursor = net_.cursor(peer, vci);  // do not disturb the data cursor
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        ctl_cursor);
-  }
-
-  MsgHeader hdr;
-  hdr.type = MsgType::Rts;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-  hdr.sender_cookie = new_cookie(req);
-  int width = 0;
-  const RndvProto proto = select_proto(peer, bytes, req, hdr.sender_cookie, &width);
-  hdr.proto = static_cast<std::uint8_t>(proto);
-  CtsRkeys rts_rkeys;
-  if (proto == RndvProto::ReadRts) {
-    const sim::Time pin_cost = prepare_read_rts(hdr, req, bytes, width, rts_rkeys);
-    if (pin_cost > 0) host_.process().compute(pin_cost);
-  } else if (cfg.rndv_pipeline) {
-    send_progress_[hdr.sender_cookie].chunks_total = chunk_count(cfg, bytes);
-  }
-  net_.send_ctl_blocking(peer, vci * net_.nrails(peer) + s.rail, hdr,
-                         proto == RndvProto::ReadRts ? &rts_rkeys : nullptr);
-  rts_sent_.inc();
-  bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-}
-
-bool Rendezvous::try_send_rts(int peer, CommKind kind, const void* /*buf*/, std::int64_t bytes,
-                              int tag, int ctx, const Request& req) {
-  const Config& cfg = host_.config();
-  const int vci = req->vci;
-  Schedule s;
-  RailCursor saved{};
-  if (cfg.rndv_pipeline) {
-    saved = net_.ctl_cursor(peer, vci);  // restored if the probe fails
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        net_.ctl_cursor(peer, vci));
-  } else {
-    RailCursor ctl_cursor = net_.cursor(peer, vci);  // do not disturb the data cursor
-    s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer), cfg.stripe_threshold,
-                        ctl_cursor);
-  }
-  const int rail = net_.probe_ctl_rail(peer, vci * net_.nrails(peer) + s.rail);
-  if (rail < 0) {
-    if (cfg.rndv_pipeline) net_.ctl_cursor(peer, vci) = saved;
+  // schedule is decided at CTS time by the marker-driven policy.  In
+  // pipeline mode control traffic owns its own per-(peer, vci) cursor, so
+  // RTSes rotate over the rails instead of pinning to wherever the data
+  // cursor sits; the legacy protocol rotates a copy of the data cursor and
+  // never disturbs it.
+  RailCursor legacy_cursor = net_.cursor(peer, vci);
+  RailCursor& cur = cfg.rndv_pipeline ? net_.ctl_cursor(peer, vci) : legacy_cursor;
+  const RailCursor saved = cur;
+  const Schedule s = choose_schedule(Policy::RoundRobin, kind, 0, net_.nrails(peer),
+                                     cfg.stripe_threshold, cur);
+  const int rail = vci * net_.nrails(peer) + s.rail;
+  if (!net_.admit(sc, peer, rail, MsgType::Rts)) {
+    cur = saved;  // claims no sequence number or cookie
     return false;
   }
 
-  MsgHeader hdr;
-  hdr.type = MsgType::Rts;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
+  MsgHeader hdr = sequenced_header(host_, MsgType::Rts, peer, kind, vci, tag, ctx, bytes);
   hdr.sender_cookie = new_cookie(req);
   int width = 0;
   const RndvProto proto = select_proto(peer, bytes, req, hdr.sender_cookie, &width);
   hdr.proto = static_cast<std::uint8_t>(proto);
   CtsRkeys rts_rkeys;
   if (proto == RndvProto::ReadRts) {
-    // Event context: the pin cost can't be charged inline, so it occupies
-    // the VCI's CPU server ahead of the post event post_ctl_evt schedules.
+    // The pin cost occupies the sender's CPU ahead of the RTS post.
     const sim::Time pin_cost = prepare_read_rts(hdr, req, bytes, width, rts_rkeys);
-    if (pin_cost > 0) host_.schedule_cpu_vci(vci, pin_cost, [] {});
+    if (pin_cost > 0) charge_send_cpu(host_, sc, vci, pin_cost, [] {});
   } else if (cfg.rndv_pipeline) {
     send_progress_[hdr.sender_cookie].chunks_total = chunk_count(cfg, bytes);
   }
-  net_.post_ctl_evt(peer, rail, hdr, proto == RndvProto::ReadRts ? &rts_rkeys : nullptr);
+  // A ReadRts RTS carries the sender-side rkeys as payload.
+  const bool with_rkeys = proto == RndvProto::ReadRts;
+  net_.post_msg(sc, peer, rail, hdr, &rts_rkeys,
+                with_rkeys ? static_cast<std::int64_t>(sizeof(CtsRkeys)) : 0, cfg.post_cpu,
+                /*done=*/nullptr);  // an RTS completes with its transfer, not its post
   rts_sent_.inc();
   bytes_sent_.add(static_cast<std::uint64_t>(bytes));
   return true;

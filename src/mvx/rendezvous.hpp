@@ -57,15 +57,13 @@ class Rendezvous {
   Rendezvous(const Rendezvous&) = delete;
   Rendezvous& operator=(const Rendezvous&) = delete;
 
-  /// Sender entry (process context): bytes >= rndv_threshold.
-  void send_rts(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
+  /// Sender entry for bytes >= rndv_threshold: picks the control rail,
+  /// claims the sequence number and cookie, and posts the RTS through the
+  /// net channel's send core.  In event context it returns false, with the
+  /// control cursor restored and nothing claimed, when no credit, bounce
+  /// buffer or live rail is available.
+  bool send_rts(SendContext sc, int peer, CommKind kind, std::int64_t bytes, int tag, int ctx,
                 const Request& req);
-
-  /// Event-context twin of send_rts for flushing sends queued behind a lazy
-  /// handshake: instead of blocking on a control credit it reports failure
-  /// and leaves the send queued (claiming no sequence number or cookie).
-  bool try_send_rts(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                    int ctx, const Request& req);
 
   /// Receiver side of a matched RTS: dispatches on the RTS's protocol field.
   /// Write protocols register the buffer and reply CTS; ReadRts pulls the

@@ -1,8 +1,8 @@
 #include "mvx/shm_channel.hpp"
 
+#include <memory>
 #include <utility>
-
-#include "mvx/matcher.hpp"
+#include <vector>
 
 namespace ib12x::mvx {
 
@@ -24,99 +24,37 @@ bool ShmChannel::accepts(int peer, std::int64_t /*bytes*/) const {
   return peers_.contains(peer);
 }
 
-void ShmChannel::send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                      int ctx, const Request& req) {
-  Peer& c = peers_.at(peer);
-  const Config& cfg = host_.config();
-  sim::Simulator& sim = host_.simulator();
-
-  MsgHeader hdr;
-  hdr.type = MsgType::Eager;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(req->vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, req->vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-
+bool ShmChannel::send(SendContext sc, int peer, CommKind kind, const void* buf,
+                      std::int64_t bytes, int tag, int ctx, const Request& req) {
+  const MsgHeader hdr =
+      sequenced_header(host_, MsgType::Eager, peer, kind, req->vci, tag, ctx, bytes);
   // Copy into the (modelled) shared segment; the sender's CPU does this.
-  std::vector<std::byte> payload;
-  if (bytes > 0) {
-    payload.assign(static_cast<const std::byte*>(buf),
-                   static_cast<const std::byte*>(buf) + bytes);
-  }
-  host_.process().compute(cfg.post_cpu + host_.memcpy_time(bytes));
-
-  auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),
-                                  static_cast<std::int64_t>(kHeaderBytes) + bytes);
-  const sim::Time deliver_at = res.finish + cfg.shm_latency;
-  // Header + payload exceed the kernel's in-place event storage; box them in
-  // one heap block and let the event own it.
+  // Header + payload exceed the kernel's in-place event storage, so they are
+  // boxed in one heap block the delivery event owns.
   struct Delivery {
     ShmChannel* remote;
     int src;
     MsgHeader hdr;
     std::vector<std::byte> payload;
   };
-  auto d = std::make_unique<Delivery>(
-      Delivery{c.remote, host_.rank(), hdr, std::move(payload)});
-  sim.at(deliver_at, [d = std::move(d)]() mutable {
-    d->remote->deliver(d->src, d->hdr, std::move(d->payload));
-  });
-
-  sent_.inc();
-  bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-  req->done = true;
-  req->completed_at = sim.now();
-}
-
-void ShmChannel::send_evt(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag,
-                          int ctx, const Request& req) {
-  const Config& cfg = host_.config();
-
-  MsgHeader hdr;
-  hdr.type = MsgType::Eager;
-  hdr.kind = static_cast<std::uint8_t>(kind);
-  hdr.vci = static_cast<std::uint8_t>(req->vci);
-  hdr.src_rank = host_.rank();
-  hdr.tag = tag;
-  hdr.ctx = ctx;
-  // Claimed at dispatch so a flushed queue keeps MPI ordering (see
-  // NetChannel::try_send).
-  hdr.seq = host_.matcher().next_send_seq(peer, ctx, req->vci);
-  hdr.size = static_cast<std::uint64_t>(bytes);
-
-  // shared_ptr, not a moved vector: schedule_cpu takes a copyable callable.
-  auto payload = std::make_shared<std::vector<std::byte>>();
+  auto d = std::make_shared<Delivery>(Delivery{peers_.at(peer).remote, host_.rank(), hdr, {}});
   if (bytes > 0) {
-    payload->assign(static_cast<const std::byte*>(buf),
-                    static_cast<const std::byte*>(buf) + bytes);
+    d->payload.assign(static_cast<const std::byte*>(buf),
+                      static_cast<const std::byte*>(buf) + bytes);
   }
-
-  host_.schedule_cpu_vci(
-      req->vci, cfg.post_cpu + host_.memcpy_time(bytes), [this, peer, hdr, payload, bytes, req] {
-        Peer& c = peers_.at(peer);
-        sim::Simulator& sim = host_.simulator();
-        auto res = c.pipe.reserve_bytes(sim.now(), sim.now(),
-                                        static_cast<std::int64_t>(kHeaderBytes) + bytes);
-        const sim::Time deliver_at = res.finish + host_.config().shm_latency;
-        // Header + shared payload exceed the kernel's in-place event storage;
-        // box them so the event captures one pointer (see send()).
-        struct Delivery {
-          ShmChannel* remote;
-          int src;
-          MsgHeader hdr;
-          std::shared_ptr<std::vector<std::byte>> payload;
-        };
-        auto d = std::make_unique<Delivery>(Delivery{c.remote, host_.rank(), hdr, payload});
-        sim.at(deliver_at, [d = std::move(d)]() mutable {
-          d->remote->deliver(d->src, d->hdr, std::move(*d->payload));
-        });
-        sent_.inc();
-        bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-        host_.complete_request(req);
-      });
+  // The pipe is never refused, so neither context can fail.
+  charge_send_cpu(host_, sc, req->vci, host_.config().post_cpu + host_.memcpy_time(bytes),
+                  [this, sc, peer, d, bytes, req] {
+    sim::Simulator& sim = host_.simulator();
+    auto res = peers_.at(peer).pipe.reserve_bytes(
+        sim.now(), sim.now(), static_cast<std::int64_t>(kHeaderBytes) + bytes);
+    sim.at(res.finish + host_.config().shm_latency,
+           [d] { d->remote->deliver(d->src, d->hdr, std::move(d->payload)); });
+    sent_.inc();
+    bytes_sent_.add(static_cast<std::uint64_t>(bytes));
+    finish_buffered_send(host_, sc, req);
+  });
+  return true;
 }
 
 void ShmChannel::deliver(int src, MsgHeader hdr, std::vector<std::byte> payload) {

@@ -20,15 +20,8 @@ class ShmChannel final : public Channel {
 
   [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
 
-  void send(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-            const Request& req) override;
-
-  /// Event-context twin of send(), for flushing sends queued behind a lazy
-  /// handshake: the copy cost is charged through schedule_cpu instead of the
-  /// (unavailable) process fiber.  The pipe never refuses, so unlike the net
-  /// channel's try_send this cannot fail.
-  void send_evt(int peer, CommKind kind, const void* buf, std::int64_t bytes, int tag, int ctx,
-                const Request& req);
+  bool send(SendContext sc, int peer, CommKind kind, const void* buf, std::int64_t bytes,
+            int tag, int ctx, const Request& req) override;
 
  private:
   struct Peer {

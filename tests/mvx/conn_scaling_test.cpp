@@ -8,8 +8,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "ib/hca.hpp"
 #include "mvx/conn_manager.hpp"
 #include "mvx/mpi.hpp"
 #include "mvx/wire.hpp"
@@ -130,6 +134,176 @@ TEST(ConnScaling, QueuedSendsFlushInFifoOrder) {
       }
     }
   });
+}
+
+// ------------------------------------------- one send core, two contexts
+
+/// Every channel a send can be routed to: shm, the RDMA fast path, the net
+/// eager protocol, and the RTS of each rendezvous wire protocol.
+enum class Route { Shm, FastPath, Eager, RtsWriteCts, RtsRead, RtsWriteImm };
+
+/// Which half of the stream carries the route's messages: the half posted
+/// before the handshake completes (queued, then flushed from event context)
+/// or the half posted on the ready connection (process context).
+enum class Context { Queued, Ready };
+
+struct RouteCase {
+  ClusterSpec spec;
+  Config cfg;
+  const char* counter;  ///< telemetry proof that the route carried traffic
+};
+
+RouteCase route_case(Route r) {
+  Config cfg = Config::enhanced(4, Policy::EPC);
+  switch (r) {
+    case Route::Shm:
+      return {ClusterSpec{1, 2}, Config{}, "shm.sent"};
+    case Route::FastPath:
+      cfg.use_rdma_fast_path = true;
+      return {ClusterSpec{2, 1}, cfg, "fastpath.sent"};
+    case Route::Eager:
+      return {ClusterSpec{2, 1}, cfg, "net.eager_sent"};
+    case Route::RtsWriteCts:
+      return {ClusterSpec{2, 1}, cfg, "rndv.stripes_posted"};
+    case Route::RtsRead:
+      cfg.rndv.protocol = Config::RndvConfig::Protocol::ReadRts;
+      return {ClusterSpec{2, 1}, cfg, "rndv.read_stripes"};
+    case Route::RtsWriteImm:
+      cfg.rndv.protocol = Config::RndvConfig::Protocol::WriteImm;
+      return {ClusterSpec{2, 1}, cfg, "rndv.imm_folded"};
+  }
+  return {};
+}
+
+/// Size of the route's i-th message.
+std::size_t route_bytes(Route r, int i) {
+  const auto k = static_cast<std::size_t>(i);
+  switch (r) {
+    case Route::Shm:
+    case Route::Eager:
+      return 64 + k * 512;
+    case Route::FastPath:
+      return 32 + k * 80;  // under fast_path_max
+    default:
+      return 17 * 1024 + k * 1024;  // over rndv_threshold
+  }
+}
+
+using RouteParam = std::tuple<Route, Context>;
+
+class SendRoutes : public ::testing::TestWithParam<RouteParam> {};
+
+TEST_P(SendRoutes, InterleavedContextsKeepFifoOrder) {
+  // One sender, one peer, one tag.  The first kMsgs sends are posted before
+  // the handshake completes and flush from event context; once they have
+  // all completed, kMsgs more go out on the ready connection from process
+  // context.  The route under test carries the half named by the context,
+  // small messages the other half.  Each receive must get exactly the
+  // payload posted at its position: a reordered flush, a sequence number
+  // claimed twice, or a byte off would hand message k's data to receive j.
+  const auto [route, ctx] = GetParam();
+  const RouteCase rc = route_case(route);
+  constexpr int kMsgs = 12;
+  auto size_of = [route, ctx](int i) -> std::size_t {
+    const bool queued_half = i < kMsgs;
+    return queued_half == (ctx == Context::Queued) ? route_bytes(route, i % kMsgs)
+                                                   : 40 + static_cast<std::size_t>(i);
+  };
+  World w(rc.spec, rc.cfg);
+  w.run([&](Communicator& c) {
+    if (c.rank() == 0) {
+      std::vector<std::vector<std::byte>> bufs(2 * kMsgs);
+      for (int half = 0; half < 2; ++half) {
+        std::vector<Request> reqs;
+        for (int i = half * kMsgs; i < (half + 1) * kMsgs; ++i) {
+          bufs[static_cast<std::size_t>(i)] = payload(size_of(i), 0, i);
+          reqs.push_back(c.isend(bufs[static_cast<std::size_t>(i)].data(), size_of(i), BYTE, 1, 5));
+        }
+        c.waitall(reqs);
+      }
+    } else {
+      for (int i = 0; i < 2 * kMsgs; ++i) {
+        std::vector<std::byte> in(size_of(i));
+        c.recv(in.data(), in.size(), BYTE, 0, 5);
+        ASSERT_EQ(in, payload(in.size(), 0, i)) << "message " << i << " out of order or corrupt";
+      }
+    }
+  });
+  EXPECT_GT(w.telemetry().counter_value(rc.counter), 0u) << rc.counter;
+  EXPECT_EQ(w.telemetry().counter_value("conn.established"), 2u);  // one per side
+}
+
+std::string route_param_name(const ::testing::TestParamInfo<RouteParam>& info) {
+  static const char* const kRoutes[] = {"shm",           "fast_path", "eager",
+                                        "rts_write_cts", "rts_read",  "rts_write_imm"};
+  return std::string(kRoutes[static_cast<int>(std::get<0>(info.param))]) +
+         (std::get<1>(info.param) == Context::Queued ? "_queued" : "_ready");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RoutesAndContexts, SendRoutes,
+    ::testing::Combine(::testing::Values(Route::Shm, Route::FastPath, Route::Eager,
+                                         Route::RtsWriteCts, Route::RtsRead, Route::RtsWriteImm),
+                       ::testing::Values(Context::Queued, Context::Ready)),
+    route_param_name);
+
+/// Send WQEs posted on each of rank 0's rails to rank 1 (node 0, HCA 0: its
+/// QPs in creation order are exactly those rails).
+std::vector<std::uint64_t> rank0_rail_wqes(World& w) {
+  std::vector<std::uint64_t> out;
+  for (const ib::QueuePair* qp : w.fabric().hca(0).port_qps(0)) {
+    out.push_back(qp->send_wqes_posted());
+  }
+  return out;
+}
+
+TEST(ConnScaling, StarvedFlushLeavesCursorsInPlace) {
+  // Ten sends queue behind the handshake on four round-robin rails, but the
+  // bounce pool holds only eight messages: the flush dispatches eight, the
+  // ninth finds the pool dry and must return false with its cursor restored,
+  // so when a bounce buffer frees it retries the same rail.  Message k then
+  // rides rail k % 4 and the rails carry 3, 3, 2, 2 messages.  A cursor left
+  // advanced by the failed attempt shifts the tail onto other rails.
+  auto run = [](Config cfg, std::size_t bytes) {
+    cfg.send_bounce_bufs = 8;
+    World w(ClusterSpec{2, 1}, cfg);
+    constexpr int kMsgs = 10;
+    w.run([&](Communicator& c) {
+      if (c.rank() == 0) {
+        std::vector<std::vector<std::byte>> bufs;
+        std::vector<Request> reqs;
+        for (int i = 0; i < kMsgs; ++i) {
+          bufs.push_back(payload(bytes, 0, i));
+          reqs.push_back(c.isend(bufs.back().data(), bytes, BYTE, 1, i));
+        }
+        c.waitall(reqs);
+      } else {
+        for (int i = 0; i < kMsgs; ++i) {
+          std::vector<std::byte> in(bytes);
+          c.recv(in.data(), bytes, BYTE, 0, i);
+          ASSERT_EQ(in, payload(bytes, 0, i)) << "message " << i;
+        }
+      }
+    });
+    return std::make_pair(rank0_rail_wqes(w), w.telemetry().counter_value("net.credit_stalls"));
+  };
+  const std::vector<std::uint64_t> round_robin{3, 3, 2, 2};
+
+  // Eager sends rotate the data cursor.
+  const auto [eager_rails, eager_stalls] =
+      run(Config::enhanced(4, Policy::RoundRobin), /*bytes=*/1024);
+  EXPECT_EQ(eager_rails, round_robin) << "data cursor moved by a failed flush";
+  EXPECT_GE(eager_stalls, 1u) << "the flush never ran dry";
+
+  // ReadRts RTSes rotate the control cursor (pipelined pacing gives control
+  // traffic its own cursor), and the receiver pulls the data, so rank 0's
+  // rails carry the RTSes alone.
+  Config rts = Config::enhanced(4, Policy::RoundRobin);
+  rts.rndv.protocol = Config::RndvConfig::Protocol::ReadRts;
+  rts.rndv_pipeline = true;
+  const auto [rts_rails, rts_stalls] = run(rts, /*bytes=*/32 * 1024);
+  EXPECT_EQ(rts_rails, round_robin) << "control cursor moved by a failed flush";
+  EXPECT_EQ(rts_stalls, 0u) << "a flushed RTS that finds the pool dry is not a credit stall";
 }
 
 TEST(ConnScaling, RendezvousFirstContact) {

@@ -409,6 +409,61 @@ TEST(VciFaultSoak, MultiThreadMultiVciLedgerBalancesAndReproduces) {
   EXPECT_EQ(a, b) << "multi-VCI fault soak diverged between identical runs";
 }
 
+TEST(VciFaultSoak, FlushedRtsWaitsForItsOwnVciSlice) {
+  // Two VCIs with one rail each.  Rank 0 queues, behind the handshake, a
+  // small eager on VCI 1 (thread 1), then two eagers that take VCI 0's last
+  // credits, then an RTS on VCI 0, which the flush must leave queued.  The
+  // link then drops under the eagers: their error CQEs mark VCI 0's rail
+  // down and return its credits, re-flushing the RTS while VCI 1's idle
+  // rail still counts as up.  The RTS may only go out once a rail of its
+  // own VCI slice is live again; posting it on the dead rail costs an extra
+  // send error.  So the outage must cost exactly as many send errors with
+  // the RTS queued as without it, and every payload must arrive intact.
+  auto soak = [](bool with_rts) {
+    Config cfg;
+    cfg.fault.enabled = true;
+    Config::FaultConfig::LinkFlap f;
+    f.node = 0;
+    f.down_at = sim::microseconds(32.0);  // under the eagers, before the RTS leaves
+    f.up_at = sim::microseconds(200.0);
+    cfg.fault.link_flaps.push_back(f);
+    cfg.srq_pool_slots = 4;  // two credits per rail, split over two VCIs
+    cfg.vci.count = 2;
+    cfg.vci.threads = 2;
+    World w(ClusterSpec{2, 1}, cfg);
+    // Tag 0: VCI 1's eager; tags 1 and 2: VCI 0's eagers; tag 3: the RTS.
+    auto size_of = [](int tag) -> std::size_t {
+      return tag == 3 ? 64 * 1024 : tag == 0 ? 64 : 8 * 1024;
+    };
+    w.run([&](Communicator& c) {
+      const int t = c.thread_id();
+      std::vector<int> tags;
+      if (t == 1) tags = {0};
+      if (t == 0) tags = with_rts ? std::vector<int>{1, 2, 3} : std::vector<int>{1, 2};
+      if (c.rank() == 0) {
+        if (t == 0) c.compute(sim::microseconds(1.0));  // queue behind thread 1's send
+        std::vector<std::vector<std::byte>> bufs;
+        std::vector<Request> reqs;
+        for (int tag : tags) {
+          bufs.push_back(payload(size_of(tag), 0, tag));
+          reqs.push_back(c.isend(bufs.back().data(), size_of(tag), BYTE, 1, tag));
+        }
+        c.waitall(reqs);
+      } else {
+        for (int tag : tags) {
+          std::vector<std::byte> in(size_of(tag));
+          c.recv(in.data(), in.size(), BYTE, 0, tag);
+          ASSERT_EQ(in, payload(size_of(tag), 0, tag)) << "tag " << tag;
+        }
+      }
+    });
+    return w.telemetry().counter_value("fault.send_errors");
+  };
+  const std::uint64_t without = soak(false);
+  EXPECT_GT(without, 0u) << "the link flap hit no in-flight send";
+  EXPECT_EQ(soak(true), without) << "the flushed RTS was posted on a dead rail";
+}
+
 // ------------------------------------------------------------- sharded
 
 TEST(VciShard, ShardedRunMatchesUnshardedOracle) {
