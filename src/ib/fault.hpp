@@ -24,14 +24,11 @@
 // shards; each HCA's own service order is still deterministic, so sharded
 // faulty runs stay bit-reproducible per seed (but draw a different fault
 // sequence than the single-stream legacy mode).  The counters are relaxed
-// atomics and the cross-shard failed-transfer side set takes a mutex — both
-// off the fault-free hot path.
+// atomics, off the fault-free hot path.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -94,22 +91,6 @@ class FaultPlan {
 
   void count_rnr_drop() { rnr_drops_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Marks an in-flight transfer's requester CQE as failed (AckDrop or RNR
-  /// drop discovered at delivery time).  Kept here — not in the Transfer
-  /// struct — so the fault-free pipeline's allocations stay byte-identical
-  /// (the interval pin-down cache is sensitive to heap layout).  Mutexed:
-  /// marked on the responder's shard, consumed on the requester's (always a
-  /// later epoch — the ACK round exceeds the lookahead window).
-  void mark_transfer_failed(const void* transfer) {
-    std::lock_guard<std::mutex> lock(failed_mu_);
-    failed_transfers_.insert(transfer);
-  }
-  /// Consumes the failure verdict for `transfer`; true if it was marked.
-  bool take_transfer_failed(const void* transfer) {
-    std::lock_guard<std::mutex> lock(failed_mu_);
-    return failed_transfers_.erase(transfer) != 0;
-  }
-
   [[nodiscard]] std::uint64_t injected_errors() const {
     return injected_errors_.load(std::memory_order_relaxed);
   }
@@ -147,8 +128,6 @@ class FaultPlan {
   bool sharded_streams_ = false;
   std::vector<LinkEvent> events_;
   std::vector<LinkView> views_;  ///< one per shard; [0] doubles as legacy
-  std::set<const void*> failed_transfers_;
-  std::mutex failed_mu_;
   std::atomic<std::uint64_t> injected_errors_{0};
   std::atomic<std::uint64_t> link_transitions_{0};
   std::atomic<std::uint64_t> rnr_drops_{0};

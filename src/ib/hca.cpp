@@ -209,21 +209,16 @@ struct Transfer {
   Hca* dhca = nullptr;
   sim::BandwidthServer* engine = nullptr;   ///< send DMA engine (source port)
   sim::BandwidthServer* rengine = nullptr;  ///< recv DMA engine (dest port)
-  // `eng` is dead once stage_engine has captured it; the contention-mode hop
-  // chain (Switch::hop) reuses the slot as its hop index.  A union instead
-  // of a new member because this struct's allocation size must stay exactly
-  // as it was (see the fault-state note below).
-  union {
-    int eng = 0;  ///< send engine index (service → stage_engine)
-    int hop_idx;  ///< contention mode: position in the re-resolved route
-  };
+  int eng = 0;      ///< send engine index (service → stage_engine)
+  int hop_idx = 0;  ///< contention mode: position in the re-resolved route
   QpNum src_qp_num = 0;
+  /// Injected failure verdict (AckDrop at service, RNR drop at delivery):
+  /// the requester CQE completes in error.  Written on the responder's shard
+  /// at delivery and read on the requester's at the CQE, a full ACK round
+  /// later (past the lookahead window), so the epoch barrier orders the two.
+  bool failed = false;
   std::int64_t bytes = 0;
   std::int64_t wire_bytes = 0;
-  // No fault state here: an injected failure verdict (AckDrop, RNR drop) is
-  // tracked in the FaultPlan's side set, keyed by this Transfer's address, so
-  // the fault-free pipeline's allocation sizes stay byte-identical (the
-  // interval pin-down cache above is sensitive to heap layout).
   sim::Time t_bus_seg = 0, t_eng_seg = 0, t_tx_seg = 0, t_dl_seg = 0, t_re_seg = 0,
             t_dbus_seg = 0;
   // Upstream last-byte bounds, filled in as the stages run.  tx_last changes
@@ -231,7 +226,7 @@ struct Transfer {
   // chain (contention mode) advances it to the last-byte arrival bound at the
   // final switch's egress, which stage_downlink consumes.  No route state is
   // stored here — routes are pure functions of (src lid, dst lid) and are
-  // re-resolved wherever needed, for the same allocation-size reason as above.
+  // re-resolved wherever needed.
   sim::Time bus_last = 0, eng_last = 0, tx_last = 0, dl_last = 0, re_last = 0;
 };
 
@@ -432,7 +427,7 @@ void Port::service(QueuePair* qp, int eng) {
   // retries until exhaustion and completes in error — while the responder has
   // already seen the message.  This is the fault that exercises duplicate
   // suppression above the verbs layer.
-  if (fault == MsgFault::AckDrop) plan->mark_transfer_failed(st.get());
+  st->failed = fault == MsgFault::AckDrop;
 
   // Single-packet messages (all MPI control traffic — RTS/CTS/FIN — and tiny
   // eager payloads) take a latency-only fast path through the shared pipes.
@@ -625,7 +620,6 @@ void Port::stage_uplink(std::unique_ptr<Transfer> st) {
   // uplink — at least the lookahead window, so the post is conservative-sync
   // safe even when the source edge switch lives on another shard.
   const Route route = topo.resolve(lid_, st->dport->lid_);
-  st->hop_idx = 0;
   Switch* sw = &topo.switch_at(route.hop[0].sw);
   const sim::Time t_hop = s_tx.start + st->t_tx_seg + F.wire_latency + F.switch_latency;
   sim.post(*sw->simulator(), t_hop,
@@ -777,7 +771,6 @@ void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
         std::memcpy(reinterpret_cast<std::byte*>(raw->wr.remote_addr), raw->wr.src,
                     raw->wr.length);
       }
-      if (raw->wr.delivered_cb) raw->wr.delivered_cb();
     });
     if (!st->wr.signaled) {
       // Keep the Transfer alive until the delivery event has consumed it.
@@ -805,15 +798,15 @@ void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
   // The delivery event fires before the CQE event (strictly earlier time, or
   // FIFO order at an equal instant since it is pushed first; across shards
   // the CQE trails delivery by a full ACK round — more than the lookahead
-  // window — so it lands in a later epoch), so it may annotate the
-  // Transfer's failure verdict in the FaultPlan for the CQE event to consume.
+  // window — so it lands in a later epoch), so it may set the Transfer's
+  // failure verdict for the CQE event to read.
   sim::Simulator& rsim = st->qp->port().hca().simulator();
   Transfer* raw = st.get();
   sim.post(dsim, delivered, [raw] {
     if (!raw->dport->deliver(raw->dst, raw->wr, raw->src_qp_num)) {
       // RNR drop → requester error CQE.  deliver() can only return false
       // with a FaultPlan attached.
-      raw->dhca->fabric().fault_plan()->mark_transfer_failed(raw);
+      raw->failed = true;
     }
   });
   sim.post(rsim, cqe_time, [st = std::move(st), cqe_time] {
@@ -821,10 +814,7 @@ void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
     wc.wr_id = st->wr.wr_id;
     wc.opcode =
         st->wr.opcode == Opcode::Send ? WcOpcode::SendComplete : WcOpcode::RdmaWriteComplete;
-    FaultPlan* plan = st->qp->port().hca().fabric().fault_plan();
-    if (plan != nullptr && plan->take_transfer_failed(st.get())) {
-      wc.status = WcStatus::RetryExcErr;
-    }
+    if (st->failed) wc.status = WcStatus::RetryExcErr;
     wc.byte_len = st->wr.length;
     wc.qp_num = st->qp->num();
     wc.timestamp = cqe_time;
@@ -844,7 +834,6 @@ bool Port::deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num) {
       std::byte* dstp = hca_->mem().translate_rkey(wr.rkey, wr.remote_addr, wr.length);
       std::memcpy(dstp, wr.src, wr.length);
     }
-    if (wr.delivered_cb) wr.delivered_cb();
     if (!consumes_recv) return true;  // plain RDMA write: invisible to the responder
   }
 

@@ -1,9 +1,9 @@
 // The channel layer of the decomposed ADI endpoint (paper fig. 2).
 //
 // A Channel moves bytes to a set of peers over one transport; the endpoint
-// is a thin facade that routes each send to the highest-priority channel
-// that accepts it (shm → RDMA fast path → net) and glues inbound arrivals
-// back into the matcher and the rendezvous protocol.
+// is a thin facade that routes each send to the channel that accepts it
+// (shm → net) and glues inbound arrivals back into the matcher and the
+// rendezvous protocol.
 //
 // Channels never see the Endpoint class itself — only the narrow
 // ChannelHost surface below — so each transport is independently testable
@@ -64,7 +64,7 @@ class ChannelHost {
   virtual Matcher& matcher() = 0;
   virtual TelemetryRegistry& telemetry() = 0;
   /// The progress waitable blocking calls park on; channels notify it when
-  /// resources (credits, ring slots) free up.
+  /// resources (credits, bounce buffers, live rails) free up.
   virtual sim::Waitable& progress() = 0;
 
   /// Serializes event-context protocol work (stripe posting, CQE handling,
@@ -162,9 +162,8 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// True if this channel can carry `bytes` to `peer` right now (routing is
-  /// re-evaluated per message, so e.g. fast-path exhaustion falls through to
-  /// the net channel).
+  /// True if this channel can carry `bytes` to `peer` (routing is evaluated
+  /// per message).
   [[nodiscard]] virtual bool accepts(int peer, std::int64_t bytes) const = 0;
 
   /// Starts one message.  In process context this may block on channel

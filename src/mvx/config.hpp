@@ -57,20 +57,12 @@ struct Config {
   /// immediately after its CQE (no batching).
   int srq_limit = 32;
 
-  /// Establish connections (QPs, rails, fast-path rings) to a peer on first
-  /// send or first matched receive instead of all-pairs at startup, via a
-  /// modelled out-of-band handshake of `conn_setup_latency`.  Sends posted
-  /// before the handshake completes queue per peer and flush FIFO.
+  /// Establish connections (QPs, rails) to a peer on first send or first
+  /// matched receive instead of all-pairs at startup, via a modelled
+  /// out-of-band handshake of `conn_setup_latency`.  Sends posted before the
+  /// handshake completes queue per peer and flush FIFO.
   bool lazy_connect = true;
   sim::Time conn_setup_latency = sim::microseconds(25.0);
-
-  /// MVAPICH's adaptive RDMA fast path: small eager messages are RDMA-written
-  /// into a per-peer ring the receiver polls, bypassing the responder's
-  /// receive-descriptor and CQE processing.
-  bool use_rdma_fast_path = false;
-  int fast_path_slots = 32;            ///< ring depth per peer direction
-  std::int64_t fast_path_max = 1024;   ///< payload cutoff for the fast path
-  sim::Time poll_delay = sim::nanoseconds(100);  ///< poll-loop discovery granularity
 
   // ---- collective algorithm selection (MVAPICH-era tuning) ---------------
   /// Algorithm forcing, Auto crossovers and multi-lane knobs; the registry

@@ -53,7 +53,7 @@ class ConnManager {
   ConnManager(const ConnManager&) = delete;
   ConnManager& operator=(const ConnManager&) = delete;
 
-  /// Wires one pair end to end (both sides' QPs/rails/rings) once a
+  /// Wires one pair end to end (both sides' QPs and rails) once a
   /// handshake completes; must call mark_ready on both sides' managers.
   void set_wire_fn(std::function<void(int)> fn) { wire_fn_ = std::move(fn); }
   /// Drains a Ready peer's send queue through the send router in event

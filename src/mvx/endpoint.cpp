@@ -7,7 +7,6 @@
 
 #include "mvx/coll/engine.hpp"
 #include "mvx/conn_manager.hpp"
-#include "mvx/fast_path_channel.hpp"
 #include "mvx/matcher.hpp"
 #include "mvx/net_channel.hpp"
 #include "mvx/rendezvous.hpp"
@@ -24,7 +23,6 @@ Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*
   conn_->set_flush_fn([this](int peer) { flush_queued(peer); });
   net_ = std::make_unique<NetChannel>(*this, std::move(node_hcas));
   shm_ = std::make_unique<ShmChannel>(*this);
-  fast_path_ = std::make_unique<FastPathChannel>(*this, *net_);
   rndv_ = std::make_unique<Rendezvous>(*this, *net_);
   coll_engine_ = std::make_unique<coll::CollEngine>(*this);
 
@@ -50,7 +48,6 @@ Endpoint::~Endpoint() = default;
 void Endpoint::connect_net(Endpoint& a, Endpoint& b) {
   if (a.node_ == b.node_) throw std::logic_error("connect_net: same node — use connect_shm");
   NetChannel::establish(*a.net_, *b.net_);
-  FastPathChannel::connect(*a.fast_path_, *b.fast_path_);
 }
 
 void Endpoint::connect_shm(Endpoint& a, Endpoint& b) {
@@ -168,14 +165,11 @@ Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes,
 }
 
 bool Endpoint::route_send(SendContext sc, int dst, const QueuedSend& s) {
-  // The highest-priority channel that accepts the message; the net channel
-  // splits at the rendezvous threshold between the eager protocol and the
-  // RTS/CTS/FIN state machine.
+  // shm for a peer on this node; otherwise the net channel, split at the
+  // rendezvous threshold between the eager protocol and the RTS/CTS/FIN
+  // state machine.
   if (shm_->accepts(dst, s.bytes)) {
     return shm_->send(sc, dst, s.kind, s.buf, s.bytes, s.tag, s.ctx, s.req);
-  }
-  if (fast_path_->accepts(dst, s.bytes)) {
-    return fast_path_->send(sc, dst, s.kind, s.buf, s.bytes, s.tag, s.ctx, s.req);
   }
   if (!net_->accepts(dst, s.bytes)) {
     throw std::logic_error("Endpoint " + std::to_string(rank_) + ": no connection to rank " +

@@ -3,19 +3,20 @@
 // Since the channel decomposition this is a thin facade over the layered
 // architecture (paper fig. 2, DESIGN.md "Architecture"):
 //
-//   * channels — ShmChannel (intra-node), FastPathChannel (RDMA polled
-//     ring), NetChannel (rails, credits, eager protocol, completion
-//     filter); each owns its per-peer transport state;
+//   * channels — ShmChannel (intra-node) and NetChannel (rails, credits,
+//     eager protocol, completion filter); each owns its per-peer transport
+//     state;
 //   * Matcher — posted/unexpected queues, per-(pair, ctx) sequencing and
 //     reordering, probe semantics;
 //   * Rendezvous — RTS/CTS/FIN state machine, stripe planning, the
 //     registration cache;
 //   * TelemetryRegistry — named counters/gauges every layer registers.
 //
-// The facade routes each send to the highest-priority channel that accepts
-// it, glues in-order arrivals into matching and protocol dispatch, and owns
-// the two cross-cutting resources: the serialized host-CPU server for
-// event-context protocol work, and the progress waitable blocking calls
+// The facade routes each send to shm when the peer shares the node and to
+// the net channel otherwise (eager below the rendezvous threshold, an RTS
+// above it), glues in-order arrivals into matching and protocol dispatch,
+// and owns the two cross-cutting resources: the serialized host-CPU server
+// for event-context protocol work, and the progress waitable blocking calls
 // park on.
 //
 // Threading model: the owning rank's code runs in process context (and is
@@ -49,7 +50,6 @@ class CollEngine;
 class ConnManager;
 struct QueuedSend;
 class Counter;
-class FastPathChannel;
 class Matcher;
 class NetChannel;
 class Rendezvous;
@@ -66,7 +66,7 @@ class Endpoint final : public ChannelHost {
   Endpoint& operator=(const Endpoint&) = delete;
 
   /// Builds the rail set (hcas × ports × qps QP pairs) between two endpoints
-  /// on different nodes, plus the RDMA fast-path rings if enabled.
+  /// on different nodes.
   static void connect_net(Endpoint& a, Endpoint& b);
 
   /// Connects two endpoints on the same node through the shm channel.
@@ -144,8 +144,8 @@ class Endpoint final : public ChannelHost {
   void complete_request(const Request& req) override;
 
  private:
-  /// Routes one send to the highest-priority channel that accepts it (shm →
-  /// RDMA fast path → net eager / rendezvous).  start_send calls it in
+  /// Routes one send to the channel that accepts it (shm → net eager →
+  /// rendezvous RTS).  start_send calls it in
   /// process context, flush_queued in event context; false means event
   /// context found the resources dry and claimed nothing.
   bool route_send(SendContext sc, int dst, const QueuedSend& s);
@@ -176,7 +176,6 @@ class Endpoint final : public ChannelHost {
   std::unique_ptr<ConnManager> conn_;
   std::unique_ptr<NetChannel> net_;
   std::unique_ptr<ShmChannel> shm_;
-  std::unique_ptr<FastPathChannel> fast_path_;
   std::unique_ptr<Rendezvous> rndv_;
   std::unique_ptr<coll::CollEngine> coll_engine_;
 

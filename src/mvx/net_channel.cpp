@@ -250,7 +250,7 @@ bool NetChannel::accepts(int peer_rank, std::int64_t /*bytes*/) const {
 }
 
 int NetChannel::nrails(int peer_rank) const {
-  peer(peer_rank);  // preserve the no-connection diagnostic
+  (void)peer(peer_rank);  // preserve the no-connection diagnostic
   return host_.config().rails();
 }
 
@@ -614,28 +614,6 @@ void NetChannel::flush_pending_imm() {
   for (const PendingImm& p : work) post_write_imm(p.peer, p.st, p.imm);
 }
 
-// ------------------------------------------------------- fast-path posting
-
-void NetChannel::post_fp_write(int peer_rank, const std::byte* src, std::uint32_t len,
-                               ib::LKey lkey, std::uint64_t raddr, ib::RKey rkey,
-                               std::function<void()> delivered_cb) {
-  Peer& c = peer(peer_rank);
-  Rail& r = c.rails.front();  // the fast path rides rail 0
-  SendCtx* sctx =
-      new_send_ctx({SendCtx::Kind::FpWrite, peer_rank, 0, -1, 0, static_cast<std::int64_t>(len)});
-  r.outstanding += static_cast<std::int64_t>(len);
-  ib::SendWr wr;
-  wr.wr_id = reinterpret_cast<std::uint64_t>(sctx);
-  wr.opcode = ib::Opcode::RdmaWrite;
-  wr.src = src;
-  wr.length = len;
-  wr.lkey = lkey;
-  wr.remote_addr = raddr;
-  wr.rkey = rkey;
-  wr.delivered_cb = std::move(delivered_cb);
-  r.qp->post_send(wr);
-}
-
 // ------------------------------------------------------------ inbound path
 
 void NetChannel::on_send_cqe(const ib::Wc& wc) {
@@ -678,12 +656,6 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         host_.progress().notify_all();
         break;
       }
-      case SendCtx::Kind::FpWrite:
-        if (failed) {
-          throw std::runtime_error("NetChannel: fast-path write failed (fast path is "
-                                   "not fault tolerant; disable it under fault injection)");
-        }
-        break;  // staging slot reuse is gated by the fast-path credit
       case SendCtx::Kind::RndvWrite: {
         if (fault_enabled_) {
           auto it = inflight_stripe_.find(sctx);
@@ -913,11 +885,18 @@ void NetChannel::retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes,
     throw std::runtime_error("NetChannel: eager retry limit exceeded to rank " +
                              std::to_string(peer_rank));
   }
+  // The replay stays inside its message's VCI slice, scanned from that
+  // lane's cursor: another VCI's rails are another channel's credits, and
+  // an idle rail of theirs may sit behind the same dead link, not yet marked
+  // down.
   Peer& c = peer(peer_rank);
-  const int n = static_cast<int>(c.rails.size());
+  const int vci = read_header(bounce_[static_cast<std::size_t>(bounce)].data.data()).vci;
+  const int n = host_.config().rails();
+  const int base = vci * n;
+  const int start = lane_cursor(c, vci).next;
   int rail = -1;
   for (int i = 0; i < n; ++i) {
-    const int cand = (c.cursor.next + i) % n;
+    const int cand = base + (start + i) % n;
     const Rail& r = c.rails[static_cast<std::size_t>(cand)];
     if (r.up && r.credits > 0) {
       rail = cand;

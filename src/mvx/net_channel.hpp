@@ -132,11 +132,6 @@ class NetChannel final : public Channel {
   /// available the post queues and drains when a credit returns.
   void post_write_imm(int peer, const RndvStripe& st, std::uint32_t imm);
 
-  // ---- services for the fast-path channel (rides rail 0) ----
-
-  void post_fp_write(int peer, const std::byte* src, std::uint32_t len, ib::LKey lkey,
-                     std::uint64_t raddr, ib::RKey rkey, std::function<void()> delivered_cb);
-
   [[nodiscard]] const std::vector<ib::Hca*>& hcas() const { return hcas_; }
 
  private:
@@ -177,7 +172,7 @@ class NetChannel final : public Channel {
     bool recovery_scheduled = false;  ///< a try_recover_rail event is pending
     int recovery_polls = 0;           ///< consecutive still-down probes (bounded)
     /// Receive slots flushed when the rail died; reposted on recovery.
-    std::vector<RecvSlot*> parked;
+    std::vector<RecvSlot*> parked{};
   };
 
   /// An eager bounce buffer registered in every local HCA domain.
@@ -217,7 +212,6 @@ class NetChannel final : public Channel {
     enum class Kind : std::uint8_t {
       Bounce,
       RndvWrite,
-      FpWrite,
       RndvRead,
       RndvImm,
     } kind = Kind::Bounce;
@@ -315,7 +309,8 @@ class NetChannel final : public Channel {
   void schedule_recovery(int peer_rank, int rail);
   void try_recover_rail(int peer_rank, int rail);
   /// Replays a failed eager/ctl message (the bounce buffer still holds the
-  /// wire image) on a live rail, or parks it until one recovers.
+  /// wire image) on a live rail of its own VCI slice — read from the
+  /// header — or parks it until one recovers or a credit returns.
   void retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes, int attempts);
   void flush_pending_retries();
 

@@ -80,15 +80,6 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
         " is out of range: every rank needs at least its main thread.  Supported "
         "combinations: vci.threads >= 1");
   }
-  if ((cfg_.vci.count > 1 || cfg_.vci.threads > 1) && cfg_.use_rdma_fast_path) {
-    throw std::invalid_argument(
-        "Config: vci.count = " + std::to_string(cfg_.vci.count) +
-        " / vci.threads = " + std::to_string(cfg_.vci.threads) +
-        " conflicts with use_rdma_fast_path = true: the polled ring is a "
-        "single-channel resource pinned to rail 0 and cannot be sliced per VCI.  "
-        "Supported combinations: VCIs with use_rdma_fast_path = false, or the "
-        "fast path with vci.count = 1 and vci.threads = 1");
-  }
   if (cfg_.vci.count > 1) {
     if (cfg_.use_srq) {
       if (cfg_.srq_pool_slots / std::max(1, cfg_.rails() * cfg_.vci.count) < 1) {

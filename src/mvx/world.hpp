@@ -81,9 +81,9 @@ class World {
   }
 
  private:
-  /// Builds every channel between ranks `i` and `j` (shm or net+fast-path)
-  /// and marks both connection managers Ready.  Idempotent; used by both the
-  /// legacy all-pairs loop and the lazy managers' wire function.
+  /// Builds every channel between ranks `i` and `j` (shm or net) and marks
+  /// both connection managers Ready.  Idempotent; used by both the legacy
+  /// all-pairs loop and the lazy managers' wire function.
   void wire_pair(int i, int j);
 
   void run_sharded(const std::function<void(Communicator&)>& rank_main);

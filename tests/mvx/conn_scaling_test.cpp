@@ -138,9 +138,9 @@ TEST(ConnScaling, QueuedSendsFlushInFifoOrder) {
 
 // ------------------------------------------- one send core, two contexts
 
-/// Every channel a send can be routed to: shm, the RDMA fast path, the net
-/// eager protocol, and the RTS of each rendezvous wire protocol.
-enum class Route { Shm, FastPath, Eager, RtsWriteCts, RtsRead, RtsWriteImm };
+/// Every channel a send can be routed to: shm, the net eager protocol, and
+/// the RTS of each rendezvous wire protocol.
+enum class Route { Shm, Eager, RtsWriteCts, RtsRead, RtsWriteImm };
 
 /// Which half of the stream carries the route's messages: the half posted
 /// before the handshake completes (queued, then flushed from event context)
@@ -158,9 +158,6 @@ RouteCase route_case(Route r) {
   switch (r) {
     case Route::Shm:
       return {ClusterSpec{1, 2}, Config{}, "shm.sent"};
-    case Route::FastPath:
-      cfg.use_rdma_fast_path = true;
-      return {ClusterSpec{2, 1}, cfg, "fastpath.sent"};
     case Route::Eager:
       return {ClusterSpec{2, 1}, cfg, "net.eager_sent"};
     case Route::RtsWriteCts:
@@ -182,8 +179,6 @@ std::size_t route_bytes(Route r, int i) {
     case Route::Shm:
     case Route::Eager:
       return 64 + k * 512;
-    case Route::FastPath:
-      return 32 + k * 80;  // under fast_path_max
     default:
       return 17 * 1024 + k * 1024;  // over rndv_threshold
   }
@@ -234,16 +229,16 @@ TEST_P(SendRoutes, InterleavedContextsKeepFifoOrder) {
 }
 
 std::string route_param_name(const ::testing::TestParamInfo<RouteParam>& info) {
-  static const char* const kRoutes[] = {"shm",           "fast_path", "eager",
-                                        "rts_write_cts", "rts_read",  "rts_write_imm"};
+  static const char* const kRoutes[] = {"shm", "eager", "rts_write_cts", "rts_read",
+                                        "rts_write_imm"};
   return std::string(kRoutes[static_cast<int>(std::get<0>(info.param))]) +
          (std::get<1>(info.param) == Context::Queued ? "_queued" : "_ready");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     RoutesAndContexts, SendRoutes,
-    ::testing::Combine(::testing::Values(Route::Shm, Route::FastPath, Route::Eager,
-                                         Route::RtsWriteCts, Route::RtsRead, Route::RtsWriteImm),
+    ::testing::Combine(::testing::Values(Route::Shm, Route::Eager, Route::RtsWriteCts,
+                                         Route::RtsRead, Route::RtsWriteImm),
                        ::testing::Values(Context::Queued, Context::Ready)),
     route_param_name);
 

@@ -66,17 +66,6 @@ TEST(VciConfig, EagerCreditSplitRoundingToZeroNamesBothFields) {
   expect_ctor_names(cfg, {"vci.count", "eager_credits", "Supported"});
 }
 
-TEST(VciConfig, FastPathConflictsWithVcis) {
-  Config cfg;
-  cfg.use_rdma_fast_path = true;
-  cfg.vci.count = 2;
-  expect_ctor_names(cfg, {"vci.count", "use_rdma_fast_path", "Supported"});
-  Config threads;
-  threads.use_rdma_fast_path = true;
-  threads.vci.threads = 2;
-  expect_ctor_names(threads, {"vci.threads", "use_rdma_fast_path", "Supported"});
-}
-
 TEST(VciConfig, DefaultsAndGatedShapesConstruct) {
   World def(ClusterSpec{2, 1}, Config{});
   Config on;
@@ -462,6 +451,61 @@ TEST(VciFaultSoak, FlushedRtsWaitsForItsOwnVciSlice) {
   const std::uint64_t without = soak(false);
   EXPECT_GT(without, 0u) << "the link flap hit no in-flight send";
   EXPECT_EQ(soak(true), without) << "the flushed RTS was posted on a dead rail";
+}
+
+TEST(VciFaultSoak, ReplayedEagerStaysInItsOwnVciSlice) {
+  // Two VCIs with one rail each.  A ping on VCI 0 opens the connection; then
+  // thread 1 may wire VCI 1 with one small eager, which completes long
+  // before the link drops.  Thread 0 later sends two eagers on VCI 0 that
+  // the drop catches in flight: their error CQEs mark VCI 0's rail down and
+  // replay them, while VCI 1's idle rail, behind the same dead link, still
+  // counts as up.  A replay may only take a rail of its own VCI slice;
+  // landing on VCI 1's rail costs an extra send error.  So the outage must
+  // cost as many send errors with VCI 1 wired as without, and every payload
+  // must arrive intact.
+  auto soak = [](bool wire_vci1) {
+    Config cfg;
+    cfg.fault.enabled = true;
+    Config::FaultConfig::LinkFlap f;
+    f.node = 0;
+    f.down_at = sim::microseconds(101.0);  // under thread 0's eagers
+    f.up_at = sim::microseconds(200.0);
+    cfg.fault.link_flaps.push_back(f);
+    cfg.srq_pool_slots = 4;  // two credits per rail, split over two VCIs
+    cfg.vci.count = 2;
+    cfg.vci.threads = 2;
+    World w(ClusterSpec{2, 1}, cfg);
+    // Tag 0: the ping; tag 1: VCI 1's eager; tags 2 and 3: VCI 0's eagers.
+    auto size_of = [](int tag) -> std::size_t { return tag < 2 ? 64 : 8 * 1024; };
+    w.run([&](Communicator& c) {
+      const int t = c.thread_id();
+      std::vector<int> tags;
+      if (t == 0) tags = {0, 2, 3};
+      if (t == 1 && wire_vci1) tags = {1};
+      if (c.rank() == 0) {
+        std::vector<std::vector<std::byte>> bufs;
+        std::vector<Request> reqs;
+        for (int tag : tags) {
+          if (tag == 1) c.compute(sim::microseconds(60.0));
+          if (tag == 2) c.compute(sim::microseconds(100.0) - c.now());
+          bufs.push_back(payload(size_of(tag), 0, tag));
+          reqs.push_back(c.isend(bufs.back().data(), size_of(tag), BYTE, 1, tag));
+          if (tag == 0) c.wait(reqs.back());  // the connection is open from here
+        }
+        c.waitall(reqs);
+      } else {
+        for (int tag : tags) {
+          std::vector<std::byte> in(size_of(tag));
+          c.recv(in.data(), in.size(), BYTE, 0, tag);
+          ASSERT_EQ(in, payload(size_of(tag), 0, tag)) << "tag " << tag;
+        }
+      }
+    });
+    return w.telemetry().counter_value("fault.send_errors");
+  };
+  const std::uint64_t without = soak(false);
+  EXPECT_GT(without, 0u) << "the link flap hit no in-flight send";
+  EXPECT_EQ(soak(true), without) << "a replayed VCI 0 eager left its VCI slice";
 }
 
 // ------------------------------------------------------------- sharded
