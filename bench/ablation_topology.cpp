@@ -36,7 +36,6 @@ constexpr std::size_t kUniformPerPeer = 2048;    ///< alltoall bytes per peer
 mvx::Config topo_config(ib::TopoShape shape) {
   mvx::Config cfg = mvx::Config::enhanced(1, mvx::Policy::Binding);
   cfg.hca.ports = 1;  // one LID per rank: topology sized to the rank count
-  cfg.lazy_connect = false;
   cfg.topo.shape = shape;
   cfg.topo.contention = true;
   return cfg;

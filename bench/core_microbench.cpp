@@ -272,7 +272,6 @@ void BM_ShardedAlltoallEventsPerSec(benchmark::State& state) {
   std::uint64_t events = 0;
   for (auto _ : state) {
     mvx::Config cfg = mvx::Config::enhanced(4, mvx::Policy::EPC);
-    cfg.lazy_connect = false;
     cfg.sim_shards = shards;
     mvx::World w(mvx::ClusterSpec{/*nodes=*/8, /*procs_per_node=*/1}, cfg);
     w.run([](mvx::Communicator& c) {

@@ -15,16 +15,16 @@
 // hooks are single null checks and behaviour is bit-identical to the
 // fault-free model.
 //
-// Parallel engine (sim/shard.hpp): under arm_sharded() every shard gets its
-// own link-state view replica — each shard applies every link event at the
-// same virtual time but only transitions the QPs living on its own
-// simulator, so no shard ever touches another shard's QP state.  Message
-// faults switch to per-HCA RNG streams (enable_sharded_streams) because the
-// global service order that fed the single stream no longer exists across
-// shards; each HCA's own service order is still deterministic, so sharded
-// faulty runs stay bit-reproducible per seed (but draw a different fault
-// sequence than the single-stream legacy mode).  The counters are relaxed
-// atomics, off the fault-free hot path.
+// Parallel engine (sim/shard.hpp): link events are serial actions
+// (Simulator::post_serial), so one link-state view transitions the QPs on
+// both ends of each pair with every shard stopped, exactly where the
+// unsharded run does.  Message faults switch to per-HCA RNG streams
+// (enable_sharded_streams) because the global service order that fed the
+// single stream no longer exists across shards; each HCA's own service
+// order is still deterministic, so sharded runs with message faults stay
+// bit-reproducible per seed (but draw a different fault sequence than the
+// single stream).  The counters are relaxed atomics, off the fault-free hot
+// path.
 #pragma once
 
 #include <atomic>
@@ -61,19 +61,15 @@ class FaultPlan {
     sim::Time retry_latency = sim::microseconds(2.0);
   };
 
-  explicit FaultPlan(const Params& p) : params_(p), rng_(p.seed), views_(1) {}
+  explicit FaultPlan(const Params& p) : params_(p), rng_(p.seed) {}
 
   /// Schedules a link transition for port `port_idx` of `hca` at time `at`.
   void add_link_event(sim::Time at, Hca* hca, int port_idx, bool up);
 
-  /// Registers every scheduled link event with the simulator.  Call once,
-  /// after all add_link_event calls and before the simulation runs.
+  /// Registers every scheduled link event with the simulator (shard 0's,
+  /// under the parallel engine), as serial actions.  Call once, after all
+  /// add_link_event calls and before the simulation runs.
   void arm(sim::Simulator& sim);
-
-  /// Sharded alternative to arm(): every shard's simulator gets a replica of
-  /// every link event against its own link-state view, transitioning only
-  /// the QPs that live on that shard.
-  void arm_sharded(const std::vector<sim::Simulator*>& sims);
 
   /// Switches message-fault draws to one independent RNG stream per HCA
   /// (keyed by Hca::uid(), seeds derived from the plan seed).  Required
@@ -85,8 +81,8 @@ class FaultPlan {
   MsgFault draw_msg_fault(const Hca& src);
 
   [[nodiscard]] sim::Time retry_latency() const { return params_.retry_latency; }
-  /// Link state as seen by shard 0's view (also the legacy single view).
-  /// Only meaningful from shard 0 / pre-run contexts (NetChannel::establish).
+  /// Current link state of one port.  Changes only in serial actions, so any
+  /// shard may read it (NetChannel::establish runs in one, too).
   [[nodiscard]] bool port_down(const Hca* hca, int port_idx) const;
 
   void count_rnr_drop() { rnr_drops_.fetch_add(1, std::memory_order_relaxed); }
@@ -109,25 +105,14 @@ class FaultPlan {
     bool up = false;
   };
 
-  /// One shard's private picture of which ports are down.  `self` is the
-  /// shard's simulator, or nullptr for the legacy single-threaded view
-  /// (which owns every QP).
-  struct LinkView {
-    std::vector<std::pair<const Hca*, int>> down;
-    const sim::Simulator* self = nullptr;
-  };
-
-  void apply(const LinkEvent& ev, LinkView& view);
-  static bool down_in(const LinkView& view, const Hca* hca, int port_idx);
-  /// True when `view` (not nullptr-self) excludes QPs on other shards.
-  static bool owns_qp(const LinkView& view, const QueuePair* qp);
+  void apply(const LinkEvent& ev);
 
   Params params_;
   sim::Rng rng_;
   std::vector<sim::Rng> hca_rngs_;  ///< per-HCA streams (sharded mode)
   bool sharded_streams_ = false;
   std::vector<LinkEvent> events_;
-  std::vector<LinkView> views_;  ///< one per shard; [0] doubles as legacy
+  std::vector<std::pair<const Hca*, int>> down_;  ///< ports currently down
   std::atomic<std::uint64_t> injected_errors_{0};
   std::atomic<std::uint64_t> link_transitions_{0};
   std::atomic<std::uint64_t> rnr_drops_{0};

@@ -42,26 +42,21 @@ struct Config {
   /// vectors repeat cyclically over the rails.
   std::vector<double> rail_weights;
 
-  /// Take inbound eager buffers from one shared receive queue per HCA
-  /// instead of per-QP receive queues (same protocol, O(1) instead of
-  /// O(peers) buffer memory — the SRQ mechanism of §2.1).  On by default
-  /// since the connection-scaling refactor; `use_srq = false` together with
-  /// `lazy_connect = false` recovers the legacy per-peer wiring exactly.
-  bool use_srq = true;
-  /// SRQ mode: pooled eager receive slots per local HCA (the shared arena
-  /// replacing the per-QP `eager_credits` slots).
+  /// Inbound eager buffers come from one shared receive queue per HCA (the
+  /// SRQ mechanism of §2.1: O(1) instead of O(peers) buffer memory).  Pooled
+  /// eager receive slots per local HCA:
   int srq_pool_slots = 256;
-  /// SRQ mode: low watermark arming the asynchronous limit-reached event
-  /// (verbs srq_limit).  Drained slots are reposted in one batch when the
+  /// Low watermark arming the asynchronous limit-reached event (verbs
+  /// srq_limit).  Drained slots are reposted in one batch when the
   /// pool's pending count falls below this; <= 0 reposts each slot
   /// immediately after its CQE (no batching).
   int srq_limit = 32;
 
-  /// Establish connections (QPs, rails) to a peer on first send or first
-  /// matched receive instead of all-pairs at startup, via a modelled
-  /// out-of-band handshake of `conn_setup_latency`.  Sends posted before the
-  /// handshake completes queue per peer and flush FIFO.
-  bool lazy_connect = true;
+  /// Connections (QPs and rails of every VCI) to a peer are established on
+  /// first send or first directed receive, via a modelled out-of-band
+  /// handshake of `conn_setup_latency`; sends posted before it completes
+  /// queue per peer and flush FIFO.  Must be at least one fabric hop
+  /// (fabric.wire_latency + fabric.switch_latency).
   sim::Time conn_setup_latency = sim::microseconds(25.0);
 
   // ---- collective algorithm selection (MVAPICH-era tuning) ---------------
@@ -73,7 +68,9 @@ struct Config {
   std::int64_t rndv_threshold = 16 * 1024;   ///< eager/rendezvous switch (paper §3.3)
   std::int64_t stripe_threshold = 16 * 1024; ///< striping cutoff (same value in the paper)
   std::int64_t min_stripe = 2048;            ///< never cut stripes below this
-  int eager_credits = 64;                    ///< preposted recv buffers per rail
+  /// Per-rail send-credit cap; the credits themselves are the SRQ pool's
+  /// share per rail (srq_pool_slots / (rails() * vci.count)), never more.
+  int eager_credits = 64;
   int send_bounce_bufs = 256;                ///< sender-side eager bounce pool
 
   /// Pipelined zero-copy rendezvous (MVAPICH-lineage pipelined rendezvous,
@@ -119,7 +116,7 @@ struct Config {
   // ---- virtual communication interfaces (MPI+threads) ---------------------
   /// Zambre-style VCIs: each rank hosts `vci.count` independent software
   /// channels.  A VCI owns its own QP set per peer (a contiguous slice of
-  /// the peer's rail vector, wired lazily per (peer, vci)), a disjoint
+  /// the peer's rail vector, wired with the peer's connection), a disjoint
   /// sequence-space slice in the matcher, its own CQ-processing server
   /// ("progress fiber") and its own control-message cursors.  `vci.threads`
   /// modeled application threads per rank each run as a sim::Process fiber;
@@ -156,11 +153,11 @@ struct Config {
 
   // ---- parallel simulation ------------------------------------------------
   /// Simulator shards (OS threads) for the conservative parallel engine
-  /// (sim/shard.hpp).  1 (the default) runs the exact legacy single-threaded
-  /// engine, bit for bit.  N > 1 partitions nodes over min(N, nodes) shards
-  /// and produces bit-identical simulated-time results to the
-  /// single-threaded oracle.  Requires lazy_connect = false: all QP/rail
-  /// wiring must happen single-threaded before the parallel run starts.
+  /// (sim/shard.hpp).  1 (the default) runs the single-threaded engine.
+  /// N > 1 partitions nodes over min(N, nodes) shards on the same wiring
+  /// path; each connection handshake completes as a serial action with
+  /// every shard stopped, so simulated-time results match the
+  /// single-threaded oracle.
   int sim_shards = 1;
 
   /// Node → shard placement for sim_shards > 1.  RoundRobin is the legacy

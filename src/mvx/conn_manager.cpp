@@ -36,8 +36,16 @@ void ConnManager::initiate(int peer) {
   ++inflight_;
   inflight_hwm_.track_max(static_cast<std::uint64_t>(inflight_));
   sim::Simulator& sim = host_.simulator();
-  sim.at(sim.now() + host_.config().conn_setup_latency,
-         [this, peer] { complete_handshake(peer); });
+  // (rank + 1, initiation count): unique per instant and the same under any
+  // shard count.  Same-instant handshakes complete rank by rank, each rank's
+  // in the order it started them — the unsharded order whenever ranks start
+  // them in rank order, as every run does at its start.  Keys below 2^32
+  // stay free for link events (ib::FaultPlan), which the unsharded run
+  // schedules before anything else at their instant.
+  const std::uint64_t order =
+      (static_cast<std::uint64_t>(host_.rank() + 1) << 32) | initiated_++;
+  sim.post_serial(sim.now() + host_.config().conn_setup_latency, order,
+                  [this, peer] { complete_handshake(peer); });
 }
 
 void ConnManager::complete_handshake(int peer) {
@@ -68,6 +76,21 @@ void ConnManager::mark_ready(int peer) {
   pc.st = State::Ready;
   established_.inc();
   if (flush_fn_) flush_fn_(peer);
+}
+
+void ConnManager::check_settled() const {
+  peers_.for_each([this](int peer, const PeerConn& pc) {
+    const std::string who =
+        "rank " + std::to_string(host_.rank()) + " -> peer " + std::to_string(peer);
+    if (pc.st == State::Connecting) {
+      throw std::logic_error("ConnManager: run ended with the handshake " + who +
+                             " still Connecting (its completion never ran)");
+    }
+    if (!pc.q.empty()) {
+      throw std::logic_error("ConnManager: run ended with " + std::to_string(pc.q.size()) +
+                             " queued send(s) " + who + " never dispatched");
+    }
+  });
 }
 
 void ConnManager::enqueue(int peer, QueuedSend qs) {

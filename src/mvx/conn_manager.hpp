@@ -13,6 +13,11 @@
 // by World) wires both endpoints of the pair at once and marks both sides
 // Ready; the loser's handshake completion then just flushes.
 //
+// The handshake completion is a serial action (sim::Simulator::post_serial):
+// the two endpoints of a pair may live on different simulator shards, and
+// wiring touches both of them plus fabric-wide counters (QP numbers, receive
+// engine round-robin).  Unsharded it is an ordinary event.
+//
 // Sends posted while Connecting are queued FIFO per peer and flushed — in
 // order, through the endpoint's send router in event context — when the
 // peer turns Ready (`flush_fn_`, provided by Endpoint).
@@ -77,6 +82,11 @@ class ConnManager {
   /// never have initiated anything.
   void mark_ready(int peer);
 
+  /// End-of-run audit: throws, naming this rank and the peer, if a
+  /// handshake is still Connecting or a queued send never dispatched.  After
+  /// a drained run either means a handshake completion was lost.
+  void check_settled() const;
+
   void enqueue(int peer, QueuedSend qs);
   [[nodiscard]] QueuedSend& front(int peer);
   void pop_front(int peer);
@@ -95,6 +105,9 @@ class ConnManager {
   /// queued_peers() costs O(queued), not O(peers).
   std::set<int> queued_;
   int inflight_ = 0;
+  /// Handshakes this rank has started; with the rank it keys the serial
+  /// completion, so same-instant completions run in initiation order.
+  std::uint32_t initiated_ = 0;
 
   Counter& established_;
   Counter& inflight_hwm_;

@@ -65,15 +65,15 @@ class Endpoint final : public ChannelHost {
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
-  /// Builds the rail set (hcas × ports × qps QP pairs) between two endpoints
-  /// on different nodes.
+  /// Builds the rail set (hcas × ports × qps QP pairs per VCI) between two
+  /// endpoints on different nodes.
   static void connect_net(Endpoint& a, Endpoint& b);
 
   /// Connects two endpoints on the same node through the shm channel.
   static void connect_shm(Endpoint& a, Endpoint& b);
 
-  /// The lazy connection manager (always constructed; only consulted when
-  /// Config::lazy_connect is on).  World injects the wire function.
+  /// The connection manager: every peer is wired on first contact.  World
+  /// injects the wire function.
   [[nodiscard]] ConnManager& conn() { return *conn_; }
 
   /// Binds the simulated process that runs this rank's code.

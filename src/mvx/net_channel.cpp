@@ -64,9 +64,8 @@ void NetChannel::ensure_net_resources() {
     free_bounce_.push_back(static_cast<int>(i));
   }
 
-  // SRQ mode: one shared receive queue + one pooled slot arena per local
-  // HCA — the receive-buffer footprint is O(1) in the peer count.
-  if (!cfg.use_srq) return;
+  // One shared receive queue + one pooled slot arena per local HCA — the
+  // receive-buffer footprint is O(1) in the peer count.
   const int slots = std::max(1, cfg.srq_pool_slots);
   pools_.resize(hcas_.size());
   for (std::size_t h = 0; h < hcas_.size(); ++h) {
@@ -97,46 +96,24 @@ void NetChannel::ensure_net_resources() {
   }
 }
 
-RailCursor& NetChannel::lane_cursor(Peer& c, int vci) {
-  return vci == 0 ? c.cursor : c.ext.at(static_cast<std::size_t>(vci) - 1).cursor;
-}
-
-RailCursor& NetChannel::lane_ctl(Peer& c, int vci) {
-  return vci == 0 ? c.ctl : c.ext.at(static_cast<std::size_t>(vci) - 1).ctl;
-}
-
-std::deque<std::pair<MsgHeader, CtsRkeys>>& NetChannel::lane_pending(Peer& c, int vci) {
-  return vci == 0 ? c.pending_ctl : c.ext.at(static_cast<std::size_t>(vci) - 1).pending_ctl;
-}
-
 int NetChannel::rail_credits() const {
   const Config& cfg = host_.config();
-  // With several VCIs the credit budget splits evenly over the VCI groups:
-  // each group's rails get their share of the per-QP credits (per-QP RQ
-  // mode) or of the shared SRQ arena (the pool stays one per HCA, only the
-  // sender-side credit derivation divides).  The World constructor rejects
-  // splits that would round to zero.
-  if (!cfg.use_srq) return cfg.eager_credits / std::max(1, cfg.vci.count);
-  // Re-derive per-rail credits from the shared pool so one peer's rails can
+  // Derive per-rail credits from the shared pool so one peer's rails can
   // never oversubscribe the arena on their own; concurrent senders beyond
   // that are absorbed by RNR backpressure (stall + replenish), not errors.
+  // With several VCIs the pool's share splits evenly over the VCI groups
+  // (the pool stays one per HCA); the World constructor rejects splits that
+  // round to zero.
   const int per_rail =
       std::max(1, cfg.srq_pool_slots) / std::max(1, cfg.rails() * std::max(1, cfg.vci.count));
   return std::min(cfg.eager_credits, std::max(1, per_rail));
 }
 
-void NetChannel::open_to(int peer_rank) {
-  ensure_net_resources();
-  peers_[peer_rank];  // materialize the peer entry (rails wire in establish)
-}
-
 ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
-  const Config& cfg = host_.config();
   Peer& c = peers_.at(peer_rank);
-  ib::SharedReceiveQueue* srq =
-      cfg.use_srq ? pools_.at(static_cast<std::size_t>(hca_index)).srq : nullptr;
-  ib::QueuePair& qp =
-      hcas_.at(static_cast<std::size_t>(hca_index))->create_qp(port, scq_, rcq_, srq);
+  ib::QueuePair& qp = hcas_.at(static_cast<std::size_t>(hca_index))
+                          ->create_qp(port, scq_, rcq_,
+                                      pools_.at(static_cast<std::size_t>(hca_index)).srq);
   c.rails.push_back(Rail{&qp, hca_index, rail_credits(), 0});
   // Error-CQE → rail routing, only ever consulted under fault injection;
   // skip the map nodes entirely otherwise.
@@ -147,59 +124,19 @@ ib::QueuePair& NetChannel::open_rail(int peer_rank, int hca_index, int port) {
   return qp;
 }
 
-void NetChannel::prepost_rail(ib::QueuePair& qp, int hca_index, int peer_rank) {
-  const Config& cfg = host_.config();
-  if (cfg.use_srq) return;  // pooled slots were preposted once per HCA
-  const std::size_t slot_bytes = kHeaderBytes + static_cast<std::size_t>(cfg.rndv_threshold);
-  for (int i = 0; i < rail_credits(); ++i) {
-    auto slot = std::make_unique<RecvSlot>();
-    slot->buf.resize(slot_bytes);
-    slot->data = slot->buf.data();
-    slot->len = static_cast<std::uint32_t>(slot_bytes);
-    slot->peer = peer_rank;
-    slot->hca = hca_index;
-    // Receive buffers only need registration in the domain of the HCA the
-    // QP lives on.
-    slot->lkey = qp.port().hca().mem().register_memory(slot->buf.data(), slot_bytes).lkey;
-    slot->qp = &qp;
-    qp.post_recv({.wr_id = reinterpret_cast<std::uint64_t>(slot.get()),
-                  .dst = slot->data,
-                  .length = slot->len,
-                  .lkey = slot->lkey});
-    eager_pool_bytes_.add(slot_bytes);
-    recv_slots_.push_back(std::move(slot));
-  }
-}
-
 void NetChannel::establish(NetChannel& a, NetChannel& b) {
-  const Config& cfg = a.host_.config();
-  a.open_to(b.host_.rank());
-  b.open_to(a.host_.rank());
-  a.peers_.at(b.host_.rank()).remote = &b;
-  b.peers_.at(a.host_.rank()).remote = &a;
-  // VCI group 0 always wires with the connection; with lazy_connect the
-  // remaining groups wire on first use (ensure_vci).  Eager wiring — which
-  // sharded runs require — brings up every group here, single-threaded.
-  const int groups = cfg.lazy_connect ? 1 : std::max(1, cfg.vci.count);
-  for (int v = 0; v < groups; ++v) wire_vci_group(a, b);
-}
-
-void NetChannel::ensure_vci(int peer_rank, int vci) {
-  Peer& c = peer(peer_rank);
-  while (c.wired_vcis <= vci) wire_vci_group(*this, *c.remote);
+  const auto groups = static_cast<std::size_t>(std::max(1, a.host_.config().vci.count));
+  a.ensure_net_resources();
+  b.ensure_net_resources();
+  a.peers_[b.host_.rank()].lanes.resize(groups);
+  b.peers_[a.host_.rank()].lanes.resize(groups);
+  // Every VCI's QP group wires with the connection (a VCI's endpoint
+  // resources exist once its channel does), group after group.
+  for (std::size_t v = 0; v < groups; ++v) wire_vci_group(a, b);
 }
 
 void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
   const Config& cfg = a.host_.config();
-  Peer& pa = a.peers_.at(b.host_.rank());
-  Peer& pb = b.peers_.at(a.host_.rank());
-  if (pa.wired_vcis >= 1) {
-    // Lane state for the new VCI (group 0 lives in the Peer's own members).
-    pa.ext.emplace_back();
-    pb.ext.emplace_back();
-  }
-  ++pa.wired_vcis;
-  ++pb.wired_vcis;
   ib::FaultPlan* plan = a.fault_enabled_ ? a.hcas_.front()->fabric().fault_plan() : nullptr;
 
   for (int h = 0; h < cfg.hcas_per_node; ++h) {
@@ -210,10 +147,8 @@ void NetChannel::wire_vci_group(NetChannel& a, NetChannel& b) {
         ib::Fabric::connect(qa, qb);
         a.rail_up_.inc();
         b.rail_up_.inc();
-        a.prepost_rail(qa, h, b.host_.rank());
-        b.prepost_rail(qb, h, a.host_.rank());
         if (plan != nullptr) {
-          // Lazy wiring can land inside a link-down window: a QP created
+          // A handshake can complete inside a link-down window: a QP created
           // behind a dead port starts in the error state (its rail parks and
           // probes for recovery like any mid-run failure).
           const int ra = static_cast<int>(a.peers_.at(b.host_.rank()).rails.size()) - 1;
@@ -255,13 +190,11 @@ int NetChannel::nrails(int peer_rank) const {
 }
 
 RailCursor& NetChannel::cursor(int peer_rank, int vci) {
-  ensure_vci(peer_rank, vci);
-  return lane_cursor(peer(peer_rank), vci);
+  return peer(peer_rank).lanes.at(static_cast<std::size_t>(vci)).cursor;
 }
 
 RailCursor& NetChannel::ctl_cursor(int peer_rank, int vci) {
-  ensure_vci(peer_rank, vci);
-  return lane_ctl(peer(peer_rank), vci);
+  return peer(peer_rank).lanes.at(static_cast<std::size_t>(vci)).ctl;
 }
 
 std::vector<std::int64_t> NetChannel::rail_outstanding(int peer_rank, int vci) const {
@@ -397,12 +330,11 @@ void NetChannel::post_msg(SendContext sc, int peer_rank, int rail, const MsgHead
 bool NetChannel::send(SendContext sc, int peer_rank, CommKind kind, const void* buf,
                       std::int64_t bytes, int tag, int ctx, const Request& req) {
   const int vci = req->vci;
-  ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
   const Config& cfg = host_.config();
   const int width = cfg.rails();  // rails per VCI: the schedulable slice
   const int base = vci * width;
-  RailCursor& cur = lane_cursor(c, vci);
+  RailCursor& cur = c.lanes.at(static_cast<std::size_t>(vci)).cursor;
   const RailCursor saved = cur;
   int rail;
   if (req->lane >= 0) {
@@ -435,7 +367,6 @@ bool NetChannel::send(SendContext sc, int peer_rank, CommKind kind, const void* 
 
 void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& rkeys) {
   const int vci = hdr.vci;
-  ensure_vci(peer_rank, vci);
   Peer& c = peer(peer_rank);
   // Pick the first rail of the message's VCI slice (starting at the lane's
   // cursor) with a credit.  In pipeline mode control traffic rotates its own
@@ -444,7 +375,8 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
   const bool own_cursor = host_.config().rndv_pipeline;
   const int n = host_.config().rails();
   const int base = vci * n;
-  const int start = own_cursor ? lane_ctl(c, vci).next : lane_cursor(c, vci).next;
+  VciLane& lane = c.lanes.at(static_cast<std::size_t>(vci));
+  const int start = own_cursor ? lane.ctl.next : lane.cursor.next;
   int rail = -1;
   for (int i = 0; i < n; ++i) {
     int cand = base + (start + i) % n;
@@ -455,10 +387,10 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
     }
   }
   if (rail < 0 || free_bounce_.empty()) {
-    lane_pending(c, vci).emplace_back(hdr, rkeys);
+    lane.pending_ctl.emplace_back(hdr, rkeys);
     return;
   }
-  if (own_cursor) lane_ctl(c, vci).next = (rail - base + 1) % n;
+  if (own_cursor) lane.ctl.next = (rail - base + 1) % n;
   --c.rails.at(static_cast<std::size_t>(rail)).credits;  // reserve
   int bounce = free_bounce_.back();
   free_bounce_.pop_back();
@@ -474,9 +406,8 @@ void NetChannel::send_ctl(int peer_rank, const MsgHeader& hdr, const CtsRkeys& r
 }
 
 void NetChannel::flush_pending_ctl(int peer_rank) {
-  Peer& c = peer(peer_rank);
-  for (int vci = 0; vci < std::max(1, c.wired_vcis); ++vci) {
-    auto& pending = lane_pending(c, vci);
+  for (VciLane& lane : peer(peer_rank).lanes) {
+    auto& pending = lane.pending_ctl;
     while (!pending.empty()) {
       auto [hdr, rkeys] = pending.front();
       const std::size_t before = pending.size();
@@ -712,26 +643,15 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
   auto* slot = reinterpret_cast<RecvSlot*>(wc.wr_id);
   if (wc.status != ib::WcStatus::Success) {
     recv_flushes_.inc();
+    // Slot flushed through a dying QP: the SRQ itself is healthy, so the slot
+    // goes straight back to the shared pool while the rail parks.
+    slot->srq->post({.wr_id = wc.wr_id, .dst = slot->data, .length = slot->len,
+                     .lkey = slot->lkey});
     auto it = qp_rail_.find(wc.qp_num);
-    if (slot->srq != nullptr) {
-      // Pooled slot flushed through a dying QP: the SRQ itself is healthy, so
-      // the slot goes straight back to the shared pool while the rail parks.
-      slot->srq->post({.wr_id = wc.wr_id, .dst = slot->data, .length = slot->len,
-                       .lkey = slot->lkey});
-      if (it != qp_rail_.end()) {
-        const auto [peer_rank, rail] = it->second;
-        mark_rail_down(peer_rank, rail);
-      }
-      return;
+    if (it != qp_rail_.end()) {
+      const auto [peer_rank, rail] = it->second;
+      mark_rail_down(peer_rank, rail);
     }
-    // Flushed per-QP receive WQE: the buffer holds no message.  Park the slot
-    // on its rail; it is reposted when the rail recovers.
-    if (it == qp_rail_.end()) {
-      throw std::logic_error("NetChannel: flush CQE from unknown QP");
-    }
-    const auto [peer_rank, rail] = it->second;
-    peers_.at(peer_rank).rails.at(static_cast<std::size_t>(rail)).parked.push_back(slot);
-    mark_rail_down(peer_rank, rail);
     return;
   }
   if (wc.has_imm) {
@@ -772,9 +692,9 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
     }
   }
 
-  if (slot->srq != nullptr && host_.config().srq_limit > 0) {
-    // Drained pooled slot: hold it for the batched low-watermark repost
-    // (verbs srq_limit) instead of reposting per CQE.
+  if (host_.config().srq_limit > 0) {
+    // Drained slot: hold it for the batched low-watermark repost (verbs
+    // srq_limit) instead of reposting per CQE.
     HcaPool& pool = pools_.at(static_cast<std::size_t>(slot->hca));
     pool.drained.push_back(slot);
     if (pool.want_replenish) try_replenish(slot->hca);
@@ -782,15 +702,8 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
   }
   // Recycle the receive slot immediately (MVAPICH reposts vbufs eagerly; the
   // sender's credit only returns with its CQE, which is always later).
-  const ib::RecvWr repost{.wr_id = wc.wr_id,
-                          .dst = slot->data,
-                          .length = slot->len,
-                          .lkey = slot->lkey};
-  if (slot->srq != nullptr) {
-    slot->srq->post(repost);
-  } else {
-    slot->qp->post_recv(repost);
-  }
+  slot->srq->post({.wr_id = wc.wr_id, .dst = slot->data, .length = slot->len,
+                   .lkey = slot->lkey});
 }
 
 void NetChannel::on_srq_limit(int hca_index) {
@@ -857,18 +770,6 @@ void NetChannel::try_recover_rail(int peer_rank, int rail) {
   if (r.up) return;
   r.up = true;
   rail_recovered_.inc();
-  for (RecvSlot* slot : r.parked) {
-    const ib::RecvWr wr{.wr_id = reinterpret_cast<std::uint64_t>(slot),
-                        .dst = slot->data,
-                        .length = slot->len,
-                        .lkey = slot->lkey};
-    if (slot->srq != nullptr) {
-      slot->srq->post(wr);
-    } else {
-      slot->qp->post_recv(wr);
-    }
-  }
-  r.parked.clear();
   // Messages that stalled on a dry pool while this QP was in error are
   // parked inside the SRQ; the recovered QP will not see another post unless
   // someone kicks the stall queue.
@@ -893,7 +794,7 @@ void NetChannel::retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes,
   const int vci = read_header(bounce_[static_cast<std::size_t>(bounce)].data.data()).vci;
   const int n = host_.config().rails();
   const int base = vci * n;
-  const int start = lane_cursor(c, vci).next;
+  const int start = c.lanes.at(static_cast<std::size_t>(vci)).cursor.next;
   int rail = -1;
   for (int i = 0; i < n; ++i) {
     const int cand = base + (start + i) % n;

@@ -5,8 +5,8 @@
 //
 // The channel owns everything rail-shaped that used to live tangled in the
 // endpoint's PeerConn: per-peer rail vectors, credits, the round-robin
-// cursor, the pending-control queue, the shared bounce pool, preposted
-// receive slots and SRQs.  Rendezvous data movement is planned by the
+// cursor, the pending-control queue, the shared bounce pool, and the SRQ
+// with its pooled eager receive slots per local HCA.  Rendezvous data movement is planned by the
 // Rendezvous module but posted through this channel (post_write), so all
 // rail accounting stays in one place.
 #pragma once
@@ -32,26 +32,13 @@ class NetChannel final : public Channel {
   NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas);
   ~NetChannel() override;
 
-  /// Per-side connection surface, driven by the connection manager (or the
-  /// legacy all-pairs loop): open_to(peer) creates this side's peer entry
-  /// and — lazily, once — the shared send/receive resources (bounce pool;
-  /// SRQ + pooled eager arena per local HCA in SRQ mode); establish(a, b)
-  /// then wires the rail set (hcas × ports × qps QP pairs) between two
-  /// opened sides and preposts per-QP eager slots in per-QP-RQ mode.
-  void open_to(int peer);
+  /// Connects two channels, driven by the connection manager: creates each
+  /// side's peer entry and — once per channel, at its first connection —
+  /// the shared send/receive resources (bounce pool; SRQ + pooled eager
+  /// arena per local HCA), then wires every VCI's rail set (hcas × ports ×
+  /// qps QP pairs per VCI).  VCI v owns the contiguous slice
+  /// [v·rails(), (v+1)·rails()) of the flat rail vector.
   static void establish(NetChannel& a, NetChannel& b);
-
-  /// Wires one more VCI's QP group between two established sides: the next
-  /// hcas × ports × qps rail block is appended to each side's flat rail
-  /// vector, so VCI v owns the contiguous slice [v·rails(), (v+1)·rails()).
-  /// establish() wires group 0 (and, when lazy_connect is off — which
-  /// sharded runs require — every group); ensure_vci wires the rest on
-  /// first use.
-  static void wire_vci_group(NetChannel& a, NetChannel& b);
-
-  /// Lazily wires every VCI QP group up to and including `vci` towards
-  /// `peer` (symmetrically, on both sides).  No-op for already-wired groups.
-  void ensure_vci(int peer, int vci);
 
   [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
 
@@ -89,10 +76,9 @@ class NetChannel final : public Channel {
   void send_ctl(int peer, const MsgHeader& hdr, const CtsRkeys& rkeys);
 
   /// Rails per VCI (the schedulable width one message sees); the flat rail
-  /// vector holds wired_vcis × nrails entries.
+  /// vector holds vci.count × nrails entries.
   [[nodiscard]] int nrails(int peer) const;
-  /// Data cursor of one VCI's rail slice (local indices 0..nrails-1); wires
-  /// the VCI's QP group on first use.
+  /// Data cursor of one VCI's rail slice (local indices 0..nrails-1).
   [[nodiscard]] RailCursor& cursor(int peer, int vci);
   /// Dedicated round-robin cursor for control traffic (RTS/CTS/FIN) so it
   /// spreads over the rails without disturbing the data cursor.  Only
@@ -135,22 +121,18 @@ class NetChannel final : public Channel {
   [[nodiscard]] const std::vector<ib::Hca*>& hcas() const { return hcas_; }
 
  private:
-  /// A preposted receive slot; recycled after each inbound message.  Per-QP
-  /// RQ slots own their buffer (`buf`); SRQ slots point into the per-HCA
-  /// pool arena and belong to no peer.
+  /// A preposted receive slot in one HCA's pool arena; it belongs to no
+  /// peer and is recycled through its SRQ after each inbound message.
   struct RecvSlot {
-    ib::QueuePair* qp = nullptr;            ///< repost target (per-QP RQ mode)
-    ib::SharedReceiveQueue* srq = nullptr;  ///< repost target (SRQ mode)
+    ib::SharedReceiveQueue* srq = nullptr;  ///< repost target
     std::byte* data = nullptr;
     std::uint32_t len = 0;
-    std::vector<std::byte> buf;  ///< backing store in per-QP RQ mode only
     ib::LKey lkey = 0;
-    int peer = -1;  ///< owning peer (per-QP RQ mode); -1 for pooled slots
     int hca = 0;
   };
 
-  /// SRQ mode: the pooled eager receive side of one local HCA — the shared
-  /// receive queue, one registered arena of srq_pool_slots slots, and the
+  /// The pooled eager receive side of one local HCA — the shared receive
+  /// queue, one registered arena of srq_pool_slots slots, and the
   /// batched-replenish state driven by the srq_limit low-watermark event.
   struct HcaPool {
     ib::SharedReceiveQueue* srq = nullptr;
@@ -171,8 +153,6 @@ class NetChannel final : public Channel {
     bool up = true;
     bool recovery_scheduled = false;  ///< a try_recover_rail event is pending
     int recovery_polls = 0;           ///< consecutive still-down probes (bounded)
-    /// Receive slots flushed when the rail died; reposted on recovery.
-    std::vector<RecvSlot*> parked{};
   };
 
   /// An eager bounce buffer registered in every local HCA domain.
@@ -181,27 +161,18 @@ class NetChannel final : public Channel {
     ib::LKey lkey[kMaxHcas] = {0, 0, 0, 0};
   };
 
-  /// Per-(peer, VCI) channel state for VCIs >= 1: each extra VCI gets its
-  /// own cursors and pending-control queue over its own rail slice.  VCI 0
-  /// keeps using the Peer's historical members, so the default single-VCI
-  /// configuration allocates and touches exactly what it always did.
+  /// Per-(peer, VCI) channel state: each VCI has its own cursors and
+  /// pending-control queue over its own rail slice.
   struct VciLane {
     RailCursor cursor;
-    RailCursor ctl;
+    RailCursor ctl;  ///< control-traffic cursor (rndv_pipeline mode)
+    /// Control messages waiting for rail credit.
     std::deque<std::pair<MsgHeader, CtsRkeys>> pending_ctl;
   };
 
   struct Peer {
     std::vector<Rail> rails;  ///< flat, VCI-major: VCI v owns [v·R, (v+1)·R)
-    RailCursor cursor;
-    RailCursor ctl;  ///< control-traffic cursor (rndv_pipeline mode)
-    /// Control messages waiting for rail credit.
-    std::deque<std::pair<MsgHeader, CtsRkeys>> pending_ctl;
-    /// Lane state of VCIs 1..; empty (never allocated) at vci.count = 1.
-    std::vector<VciLane> ext;
-    /// The peer's channel, kept for symmetric lazy VCI-group wiring.
-    NetChannel* remote = nullptr;
-    int wired_vcis = 0;  ///< QP groups wired so far (rails.size() / rails())
+    std::vector<VciLane> lanes;  ///< one per VCI
   };
 
   /// Sender-side context attached to each send WQE via wr_id, drawn from
@@ -242,25 +213,19 @@ class NetChannel final : public Channel {
   Peer& peer(int rank);
   [[nodiscard]] const Peer& peer(int rank) const;
 
-  // VCI-lane accessors: VCI 0 resolves to the Peer's own members, higher
-  // VCIs to their ext entry (wired on demand by the callers).
-  [[nodiscard]] static RailCursor& lane_cursor(Peer& c, int vci);
-  [[nodiscard]] static RailCursor& lane_ctl(Peer& c, int vci);
-  [[nodiscard]] static std::deque<std::pair<MsgHeader, CtsRkeys>>& lane_pending(Peer& c, int vci);
-
   /// One-time lazy allocation of the shared send/receive resources: the
-  /// sender bounce pool, and in SRQ mode one SRQ + preposted slot arena per
-  /// local HCA.  Runs at the first open_to — a rank that never touches the
-  /// network allocates nothing.
+  /// sender bounce pool and one SRQ + preposted slot arena per local HCA.
+  /// Runs at the first establish — a rank that never touches the network
+  /// allocates nothing.
   void ensure_net_resources();
+  /// Wires one more VCI's QP group between two sides' peer entries: the
+  /// next hcas × ports × qps rail block is appended to each rail vector.
+  static void wire_vci_group(NetChannel& a, NetChannel& b);
   /// Creates one rail QP towards `peer` (bookkeeping only; the caller wires
   /// it to the remote side via ib::Fabric::connect).
   ib::QueuePair& open_rail(int peer, int hca_index, int port);
-  /// Per-QP RQ mode: preposts eager_credits owned slots on `qp`.  No-op in
-  /// SRQ mode, where the pooled arena is preposted once per HCA.
-  void prepost_rail(ib::QueuePair& qp, int hca_index, int peer);
-  /// Per-rail credits: eager_credits in per-QP RQ mode; re-derived from the
-  /// shared pool (srq_pool_slots spread over the rail count) in SRQ mode.
+  /// Per-rail credits: the shared pool (srq_pool_slots spread over every
+  /// VCI's rails) capped at eager_credits.
   [[nodiscard]] int rail_credits() const;
 
   /// SRQ low-watermark machinery: the async limit event marks the pool
@@ -321,7 +286,7 @@ class NetChannel final : public Channel {
 
   PeerTable<Peer> peers_;
   std::vector<std::unique_ptr<RecvSlot>> recv_slots_;
-  std::vector<HcaPool> pools_;  ///< per local HCA, SRQ mode only
+  std::vector<HcaPool> pools_;  ///< per local HCA
 
   std::vector<BounceBuf> bounce_;
   std::vector<int> free_bounce_;
@@ -359,7 +324,7 @@ class NetChannel final : public Channel {
   Counter& rail_down_;       ///< up → down transitions
   Counter& rail_recovered_;  ///< down → up transitions
   Counter& send_errors_;     ///< error CQEs on the send side
-  Counter& recv_flushes_;    ///< flushed receive WQEs (slots parked)
+  Counter& recv_flushes_;    ///< flushed receive WQEs (slots back in the pool)
   Counter& eager_retries_;   ///< eager/ctl messages replayed after an error
   Counter& qps_created_;     ///< own-side rail QPs created (conn.qps_created)
   Counter& eager_pool_bytes_;  ///< eager receive-buffer bytes allocated

@@ -34,6 +34,14 @@ class PeerTable {
     return *t;
   }
 
+  /// Calls `f(rank, state)` for every created entry, in ascending rank order.
+  template <class F>
+  void for_each(F&& f) const {
+    for (std::size_t r = 0; r < slots_.size(); ++r) {
+      if (slots_[r]) f(static_cast<int>(r), static_cast<const T&>(*slots_[r]));
+    }
+  }
+
   /// The peer's state, default-constructed on first use.
   T& operator[](int rank) {
     if (rank < 0) throw std::out_of_range("PeerTable: negative rank " + std::to_string(rank));

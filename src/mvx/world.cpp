@@ -80,26 +80,15 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
         " is out of range: every rank needs at least its main thread.  Supported "
         "combinations: vci.threads >= 1");
   }
-  if (cfg_.vci.count > 1) {
-    if (cfg_.use_srq) {
-      if (cfg_.srq_pool_slots / std::max(1, cfg_.rails() * cfg_.vci.count) < 1) {
-        throw std::invalid_argument(
-            "Config: vci.count = " + std::to_string(cfg_.vci.count) +
-            " conflicts with srq_pool_slots = " + std::to_string(cfg_.srq_pool_slots) +
-            ": splitting the SRQ arena over " +
-            std::to_string(cfg_.rails() * cfg_.vci.count) +
-            " rail slices (rails() * vci.count) rounds the per-rail credit share "
-            "to zero.  Supported combinations: srq_pool_slots >= rails() * "
-            "vci.count, fewer VCIs, or use_srq = false");
-      }
-    } else if (cfg_.eager_credits / cfg_.vci.count < 1) {
-      throw std::invalid_argument(
-          "Config: vci.count = " + std::to_string(cfg_.vci.count) +
-          " conflicts with eager_credits = " + std::to_string(cfg_.eager_credits) +
-          ": splitting the per-rail credit window over the VCIs rounds each "
-          "slice to zero.  Supported combinations: eager_credits >= vci.count, "
-          "or fewer VCIs");
-    }
+  if (cfg_.vci.count > 1 &&
+      cfg_.srq_pool_slots / std::max(1, cfg_.rails() * cfg_.vci.count) < 1) {
+    throw std::invalid_argument(
+        "Config: vci.count = " + std::to_string(cfg_.vci.count) +
+        " conflicts with srq_pool_slots = " + std::to_string(cfg_.srq_pool_slots) +
+        ": splitting the SRQ arena over " + std::to_string(cfg_.rails() * cfg_.vci.count) +
+        " rail slices (rails() * vci.count) rounds the per-rail credit share "
+        "to zero.  Supported combinations: srq_pool_slots >= rails() * "
+        "vci.count, or fewer VCIs");
   }
 
   // Rendezvous-protocol knobs: fail fast on nonsense arm spaces.
@@ -132,38 +121,41 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
     place = cfg_.topo.shape == ib::TopoShape::Crossbar ? SP::RoundRobin : SP::Locality;
   }
   sims_.push_back(&sim_);
-  if (shards > 1) {
-    if (cfg_.lazy_connect) {
+  if (shards > 1 && cfg_.topo.contention) {
+    if (cfg_.topo.shape == ib::TopoShape::Crossbar) {
       throw std::invalid_argument(
-          "Config: sim_shards = " + std::to_string(cfg_.sim_shards) +
-          " conflicts with lazy_connect = true: the parallel engine needs every "
-          "QP/rail wired single-threaded before the shard threads start, but "
-          "lazy_connect wires pairs mid-run on first contact.  Supported "
-          "combinations: sim_shards > 1 with lazy_connect = false, or "
-          "lazy_connect = true with sim_shards = 1");
+          "Config: topo.contention = true with topo.shape = Crossbar conflicts "
+          "with sim_shards = " + std::to_string(cfg_.sim_shards) +
+          ": a single-switch fabric serializes every hop through one arbiter "
+          "and cannot be partitioned across shards.  Supported combinations: "
+          "contention on FatTree/Dragonfly with sim_shards > 1, or a Crossbar "
+          "with sim_shards = 1");
     }
-    if (cfg_.topo.contention) {
-      if (cfg_.topo.shape == ib::TopoShape::Crossbar) {
-        throw std::invalid_argument(
-            "Config: topo.contention = true with topo.shape = Crossbar conflicts "
-            "with sim_shards = " + std::to_string(cfg_.sim_shards) +
-            ": a single-switch fabric serializes every hop through one arbiter "
-            "and cannot be partitioned across shards.  Supported combinations: "
-            "contention on FatTree/Dragonfly with sim_shards > 1, or a Crossbar "
-            "with sim_shards = 1");
-      }
-      if (place == SP::RoundRobin) {
-        throw std::invalid_argument(
-            "Config: shard_placement = RoundRobin conflicts with topo.contention "
-            "= true and sim_shards = " + std::to_string(cfg_.sim_shards) +
-            ": hop events mutate switch queue state, so every host must share a "
-            "shard with its edge switch.  Use shard_placement = Locality (or "
-            "Auto, which picks it on switched shapes)");
-      }
+    if (place == SP::RoundRobin) {
+      throw std::invalid_argument(
+          "Config: shard_placement = RoundRobin conflicts with topo.contention "
+          "= true and sim_shards = " + std::to_string(cfg_.sim_shards) +
+          ": hop events mutate switch queue state, so every host must share a "
+          "shard with its edge switch.  Use shard_placement = Locality (or "
+          "Auto, which picks it on switched shapes)");
     }
   }
 
   fabric_ = std::make_unique<ib::Fabric>(sim_, cfg_.hca, cfg_.fabric, cfg_.topo);
+
+  // The out-of-band handshake cannot beat one fabric hop.  The bound also
+  // keeps its serial completion outside the window that posts it under the
+  // parallel engine, whose lookahead is exactly this hop.
+  const sim::Time min_hop = fabric_->topology().min_hop_latency();
+  if (cfg_.conn_setup_latency < min_hop) {
+    throw std::invalid_argument(
+        "Config: conn_setup_latency = " + std::to_string(cfg_.conn_setup_latency) +
+        " ps is below the minimum hop latency of " + std::to_string(min_hop) +
+        " ps (fabric.wire_latency + fabric.switch_latency): a connection "
+        "handshake cannot complete faster than one message crosses the "
+        "fabric.  Supported combinations: conn_setup_latency >= "
+        "fabric.wire_latency + fabric.switch_latency");
+  }
 
   if (shards > 1) {
     for (int s = 1; s < shards; ++s) {
@@ -242,12 +234,8 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
       plan->add_link_event(f.down_at, hca, f.port, /*up=*/false);
       if (f.up_at > f.down_at) plan->add_link_event(f.up_at, hca, f.port, /*up=*/true);
     }
-    if (engine_) {
-      plan->enable_sharded_streams(fabric_->hca_count());
-      plan->arm_sharded(sims_);
-    } else {
-      plan->arm(sim_);
-    }
+    if (engine_) plan->enable_sharded_streams(fabric_->hca_count());
+    plan->arm(sim_);
     ib::FaultPlan* raw = plan.get();
     fabric_->attach_fault(std::move(plan));
     tel_.gauge("fault.injected_errors",
@@ -353,6 +341,8 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
     sim::ShardEngine* eng = engine_.get();
     tel_.gauge("sim.shard.count", [eng] { return static_cast<double>(eng->shards()); });
     tel_.gauge("sim.shard.epochs", [eng] { return static_cast<double>(eng->epochs()); });
+    tel_.gauge("sim.shard.serial_actions",
+               [eng] { return static_cast<double>(eng->serial_actions()); });
     tel_.gauge("sim.shard.cross_events",
                [eng] { return static_cast<double>(eng->cross_events()); });
     tel_.gauge("sim.shard.mailbox_hwm",
@@ -363,28 +353,19 @@ World::World(ClusterSpec spec, Config cfg) : spec_(spec), cfg_(cfg) {
     }
   }
 
-  if (cfg_.lazy_connect) {
-    // Lazy wiring: no pair is built here.  Each endpoint's connection
-    // manager drives wire_pair on first contact, after the modelled
-    // handshake; wire_pair marks both sides Ready (flushing their queues).
-    for (int r = 0; r < spec_.total_ranks(); ++r) {
-      Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
-      ep->conn().set_wire_fn([this, r](int peer) { wire_pair(r, peer); });
-    }
-  } else {
-    // Legacy eager wiring: all pairs at startup, O(ranks²) QPs.
-    for (int i = 0; i < spec_.total_ranks(); ++i) {
-      for (int j = i + 1; j < spec_.total_ranks(); ++j) {
-        wire_pair(i, j);
-      }
-    }
+  // No pair is built here.  Each endpoint's connection manager drives
+  // wire_pair on first contact, after the modelled handshake; wire_pair
+  // marks both sides Ready (flushing their queues).
+  for (int r = 0; r < spec_.total_ranks(); ++r) {
+    Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
+    ep->conn().set_wire_fn([this, r](int peer) { wire_pair(r, peer); });
   }
 }
 
 void World::wire_pair(int i, int j) {
   Endpoint& a = *eps_.at(static_cast<std::size_t>(i));
   Endpoint& b = *eps_.at(static_cast<std::size_t>(j));
-  // Idempotent: simultaneous lazy connects resolve to one wiring (the second
+  // Idempotent: simultaneous connects resolve to one wiring (the second
   // handshake finds both sides already Ready and only flushes).
   if (a.conn().ready(j)) return;
   if (a.node() == b.node()) {
@@ -399,59 +380,11 @@ void World::wire_pair(int i, int j) {
 World::~World() = default;
 
 void World::run(const std::function<void(Communicator&)>& rank_main) {
-  if (engine_) {
-    run_sharded(rank_main);
-    return;
-  }
-  sim::ProcessSet procs(sim_);
-  std::vector<int> group(static_cast<std::size_t>(ranks()));
-  std::iota(group.begin(), group.end(), 0);
-
-  const int nthreads = std::max(1, cfg_.vci.threads);
-  for (int r = 0; r < ranks(); ++r) {
-    Endpoint* ep = eps_[static_cast<std::size_t>(r)].get();
-    ep->coll_engine().begin_run();
-    if (nthreads == 1) {
-      procs.add("rank" + std::to_string(r), [this, ep, group, &rank_main](sim::Process& p) {
-        ep->attach_process(&p);
-        Communicator comm(this, ep, group, ep->rank(), /*ctx_base=*/0);
-        rank_main(comm);
-        // Rank code is done: let the collective-progress fiber drain any
-        // schedules still in flight, then exit.
-        ep->coll_engine().request_shutdown();
-      });
-    } else {
-      // Multi-threaded rank: every modeled app thread is its own fiber, all
-      // running rank_main against the shared endpoint (user code branches on
-      // comm.thread_id()).  The last thread out shuts the collective engine.
-      auto remaining = std::make_shared<int>(nthreads);
-      for (int t = 0; t < nthreads; ++t) {
-        procs.add("rank" + std::to_string(r) + ".t" + std::to_string(t),
-                  [this, ep, group, t, remaining, &rank_main](sim::Process& p) {
-                    if (t == 0) ep->attach_process(&p);
-                    ep->register_thread(&p, t);
-                    Communicator comm(this, ep, group, ep->rank(), /*ctx_base=*/0);
-                    rank_main(comm);
-                    if (--*remaining == 0) ep->coll_engine().request_shutdown();
-                  });
-      }
-    }
-    // The rank's collective-progress fiber: models the asynchronous progress
-    // thread that advances in-flight collective schedules while the rank's
-    // own fiber computes or waits.
-    procs.add("collprog" + std::to_string(r), [ep](sim::Process& p) {
-      ep->coll_engine().progress_main(p);
-    });
-  }
-  procs.run_all(sim_.now());
-  end_time_ = sim_.now();
-}
-
-void World::run_sharded(const std::function<void(Communicator&)>& rank_main) {
-  // One ProcessSet per shard: every rank's fibers are owned (created, run,
-  // torn down) by the shard thread its node lives on.  The post-run failure
-  // and deadlock checks walk the *global* add order so the first error
-  // reported matches what the single-threaded run_all would have raised.
+  // One ProcessSet per shard (one in all when unsharded): every rank's
+  // fibers are owned (created, run, torn down) by the shard its node lives
+  // on.  Sharded, the post-run failure and deadlock checks walk the
+  // *global* add order so the first error reported matches what the
+  // single-threaded run_all would have raised.
   std::vector<std::unique_ptr<sim::ProcessSet>> sets;
   sets.reserve(sims_.size());
   for (sim::Simulator* s : sims_) sets.push_back(std::make_unique<sim::ProcessSet>(*s));
@@ -473,9 +406,14 @@ void World::run_sharded(const std::function<void(Communicator&)>& rank_main) {
             ep->attach_process(&p);
             Communicator comm(this, ep, group, ep->rank(), /*ctx_base=*/0);
             rank_main(comm);
+            // Rank code is done: let the collective-progress fiber drain any
+            // schedules still in flight, then exit.
             ep->coll_engine().request_shutdown();
           }));
     } else {
+      // Multi-threaded rank: every modeled app thread is its own fiber, all
+      // running rank_main against the shared endpoint (user code branches on
+      // comm.thread_id()).  The last thread out shuts the collective engine.
       auto remaining = std::make_shared<int>(nthreads);
       for (int t = 0; t < nthreads; ++t) {
         order.push_back(&procs.add("rank" + std::to_string(r) + ".t" + std::to_string(t),
@@ -489,9 +427,19 @@ void World::run_sharded(const std::function<void(Communicator&)>& rank_main) {
                                    }));
       }
     }
+    // The rank's collective-progress fiber: models the asynchronous progress
+    // thread that advances in-flight collective schedules while the rank's
+    // own fiber computes or waits.
     order.push_back(&procs.add("collprog" + std::to_string(r), [ep](sim::Process& p) {
       ep->coll_engine().progress_main(p);
     }));
+  }
+
+  if (!engine_) {
+    sets.front()->run_all(sim_.now());
+    end_time_ = sim_.now();
+    audit_wiring();
+    return;
   }
 
   // Clocks may differ across shards after a previous run (each stops at its
@@ -520,6 +468,11 @@ void World::run_sharded(const std::function<void(Communicator&)>& rank_main) {
   sim::Time end = 0;
   for (const sim::Simulator* s : sims_) end = std::max(end, s->now());
   end_time_ = end;
+  audit_wiring();
+}
+
+void World::audit_wiring() const {
+  for (const auto& ep : eps_) ep->conn().check_settled();
 }
 
 }  // namespace ib12x::mvx

@@ -82,11 +82,13 @@ class World {
 
  private:
   /// Builds every channel between ranks `i` and `j` (shm or net) and marks
-  /// both connection managers Ready.  Idempotent; used by both the legacy
-  /// all-pairs loop and the lazy managers' wire function.
+  /// both connection managers Ready.  Idempotent; the connection managers'
+  /// wire function, run as a serial action under the parallel engine.
   void wire_pair(int i, int j);
 
-  void run_sharded(const std::function<void(Communicator&)>& rank_main);
+  /// End-of-run wiring audit: throws if any rank still has a handshake
+  /// Connecting or a queued send (names the rank and the peer).
+  void audit_wiring() const;
 
   ClusterSpec spec_;
   Config cfg_;

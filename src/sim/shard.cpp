@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "sim/simulator.hpp"
 
@@ -69,16 +70,57 @@ void ShardEngine::timed_wait(EpochBarrier& b, bool& sense, PerShard& me) {
           .count());
 }
 
+bool ShardEngine::runs_later(const Serial& a, const Serial& b) {
+  return std::tie(a.when, a.order, a.shard, a.seq) > std::tie(b.when, b.order, b.shard, b.seq);
+}
+
+void ShardEngine::collect_serial() {
+  for (PerShard& p : per_) {
+    for (Serial& a : p.serial_out) {
+      serial_.push_back(std::move(a));
+      std::push_heap(serial_.begin(), serial_.end(), runs_later);
+    }
+    p.serial_out.clear();
+  }
+}
+
+void ShardEngine::run_serial(Time when) {
+  // Every shard has run every event before `when` (windows were clipped at
+  // it) and is parked on its way to b1, so shard 0 may act on all of them.
+  in_serial_ = true;
+  for (Simulator* sim : sims_) sim->enter_serial(when);
+  try {
+    // Re-collect after each action: it may post further actions, and the
+    // ones due now run in this epoch too.
+    for (collect_serial(); !serial_.empty() && serial_.front().when == when; collect_serial()) {
+      std::pop_heap(serial_.begin(), serial_.end(), runs_later);
+      Serial a = std::move(serial_.back());
+      serial_.pop_back();
+      sims_[static_cast<std::size_t>(a.shard)]->note_serial_processed();
+      ++serial_actions_;
+      a.fn();
+    }
+  } catch (...) {
+    per_[0].error = std::current_exception();
+  }
+  in_serial_ = false;
+}
+
 void ShardEngine::worker_loop(int s) {
   PerShard& me = per_[static_cast<std::size_t>(s)];
   Simulator& sim = *sims_[static_cast<std::size_t>(s)];
   const int n = shards();
   for (;;) {
-    // b1: every shard has published all cross-shard posts from the previous
-    // window.  This is also the only abort checkpoint — every setter raises
-    // the flag before arriving here, so all shards see the same value.
+    // b1: every shard has published all cross-shard posts and serial posts
+    // from the previous window.  This is also the only abort checkpoint —
+    // every setter raises the flag before arriving here, so all shards see
+    // the same value.
     timed_wait(b1_, me.sense1, me);
     if (abort_.load(std::memory_order_relaxed)) break;
+    if (s == 0) {
+      collect_serial();
+      serial_next_ = serial_.empty() ? kNoPending : serial_.front().when;
+    }
 
     // Drain inboxes in ascending source-shard order so same-instant
     // cross-shard arrivals enqueue in a deterministic order.
@@ -97,16 +139,21 @@ void ShardEngine::worker_loop(int s) {
       me.local_min = kNoPending;
     }
 
-    // b2: all minima published; afterwards every shard computes the same T0.
+    // b2: all minima and the next serial time published; afterwards every
+    // shard computes the same T0 and takes the same branch.
     timed_wait(b2_, me.sense2, me);
     Time t0 = kNoPending;
     for (const PerShard& p : per_) t0 = std::min(t0, p.local_min);
-    if (t0 == kNoPending) break;  // global drain — same epoch on every shard
+    const Time serial_at = serial_next_;
+    if (t0 == kNoPending && serial_at == kNoPending) break;  // global drain
     if (s == 0) ++epochs_;
 
-    if (!me.error) {
+    if (serial_at <= t0) {
+      // Serial epoch: shard 0 runs the actions, the others wait at b1.
+      if (s == 0 && !me.error) run_serial(serial_at);
+    } else if (!me.error) {
       try {
-        sim.run_window(t0 + lookahead_);
+        sim.run_window(std::min(t0 + lookahead_, serial_at));
       } catch (...) {
         me.error = std::current_exception();
       }
@@ -126,6 +173,11 @@ void ShardEngine::run() {
   worker_loop(0);
   for (std::thread& t : threads) t.join();
   running_ = false;
+  if (abort_.load(std::memory_order_relaxed)) {
+    // An aborted run leaves actions behind; they must not fire in the next.
+    serial_.clear();
+    for (PerShard& p : per_) p.serial_out.clear();
+  }
   for (PerShard& p : per_) {
     if (p.error) {
       std::exception_ptr e = p.error;
@@ -139,12 +191,18 @@ void ShardEngine::enqueue_cross(int src, int dst, Time when, Event fn) {
   mailbox(src, dst).put(when, std::move(fn));
 }
 
+void ShardEngine::enqueue_serial(int src, Time when, std::uint64_t order, Event fn) {
+  PerShard& p = per_[static_cast<std::size_t>(src)];
+  p.serial_out.push_back(Serial{when, order, src, p.serial_seq++, std::move(fn)});
+}
+
 // Defined here rather than in the (header-only) Simulator so simulator.hpp
 // does not need the engine's definition.
 void Simulator::post_cross(Simulator& dst, Time when, Event fn) {
-  if (engine_ == nullptr || !engine_->running()) {
-    // Construction/teardown-time scheduling is single-threaded; deliver
-    // directly, exactly like the single-engine path.
+  if (engine_ == nullptr || !engine_->running() || engine_->in_serial()) {
+    // Construction/teardown-time scheduling and serial actions run with no
+    // shard thread active; deliver directly, exactly like the single-engine
+    // path.
     dst.at(when, std::move(fn));
     return;
   }
@@ -155,6 +213,24 @@ void Simulator::post_cross(Simulator& dst, Time when, Event fn) {
         "); lookahead exceeds the model's true minimum cross-shard latency");
   }
   engine_->enqueue_cross(shard_, dst.shard_index(), when, std::move(fn));
+}
+
+void Simulator::post_serial(Time when, std::uint64_t order, Event fn) {
+  if (engine_ == nullptr) {
+    at(when, std::move(fn));
+    return;
+  }
+  // Before (or between) runs the action waits for the engine's next run();
+  // during a run it must clear the window the poster is in.
+  const Time floor = engine_->running() ? window_end_ : now_;
+  if (when < floor) {
+    throw std::logic_error(
+        "Simulator::post_serial: action targets t=" + std::to_string(when) +
+        " inside the current window (end=" + std::to_string(floor) +
+        "); a serial action must be at least one lookahead window out");
+  }
+  ++serial_posted_;
+  engine_->enqueue_serial(shard_, when, order, std::move(fn));
 }
 
 }  // namespace ib12x::sim

@@ -21,6 +21,20 @@
 // oracle.  The barriers provide all cross-thread happens-before edges; the
 // mailboxes and per-shard state need no atomics on the hot path.
 //
+// Serial actions (Simulator::post_serial) are the one exception to "shards
+// never touch each other's state": an action runs with every shard stopped.
+// After b1 shard 0 merges the shards' serial posts into one pending set,
+// ordered by (when, order, posting shard, post sequence), and publishes its
+// earliest time S.  After b2 every shard compares S with T0:
+//
+//   S <= T0  serial epoch: shard 0 stops every clock at S and runs each
+//            action due at S while the other shards go straight back to b1;
+//   S >  T0  regular epoch, clipped to run_window(min(T0 + W, S)), so no
+//            shard passes S before the action has run.
+//
+// Like a cross-shard post, a serial post must target >= the poster's window
+// end.  The run only drains when no event *and* no action is left.
+//
 // Model-code error handling: a shard whose window throws records the
 // exception, reports kNoPending from then on and keeps participating in
 // barriers (so nobody deadlocks), and raises the abort flag.  The flag is
@@ -79,6 +93,11 @@ class ShardEngine {
   /// Producer-side entry, called from Simulator::post_cross on the shard
   /// `src`'s thread.  `when` must be >= the posting shard's window_end.
   void enqueue_cross(int src, int dst, Time when, Event fn);
+  /// Producer-side entry for Simulator::post_serial on shard `src`.
+  void enqueue_serial(int src, Time when, std::uint64_t order, Event fn);
+
+  /// True while shard 0 runs serial actions (every other shard is parked).
+  [[nodiscard]] bool in_serial() const { return in_serial_; }
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] int shards() const { return static_cast<int>(sims_.size()); }
@@ -86,6 +105,7 @@ class ShardEngine {
 
   // ---- telemetry (read after run() returns) ----
   [[nodiscard]] std::uint64_t epochs() const { return epochs_; }
+  [[nodiscard]] std::uint64_t serial_actions() const { return serial_actions_; }
   [[nodiscard]] std::uint64_t cross_events() const;
   [[nodiscard]] std::size_t mailbox_high_water() const;
   [[nodiscard]] std::uint64_t barrier_wait_ns(int shard) const {
@@ -93,6 +113,17 @@ class ShardEngine {
   }
 
  private:
+  /// A pending serial action; the heap orders by (when, order, shard, seq).
+  struct Serial {
+    Time when = 0;
+    std::uint64_t order = 0;
+    int shard = 0;
+    std::uint64_t seq = 0;
+    Event fn;
+  };
+  /// Heap comparator: true when `a` runs after `b`.
+  static bool runs_later(const Serial& a, const Serial& b);
+
   // Per-shard mutable state, cache-line separated so neighbouring shards'
   // writes don't false-share.
   struct alignas(64) PerShard {
@@ -101,9 +132,17 @@ class ShardEngine {
     bool sense1 = false;  // private sense for b1_
     bool sense2 = false;  // private sense for b2_
     std::exception_ptr error;
+    std::vector<Serial> serial_out;  ///< posted this window, merged after b1
+    std::uint64_t serial_seq = 0;    ///< post order within this shard
   };
 
   void worker_loop(int shard);
+  /// Shard 0 only, with the other shards outside their windows: moves every
+  /// out-list into serial_.  (serial_next_ is published after b1 only: the
+  /// other shards read it after b2, possibly while a serial epoch runs.)
+  void collect_serial();
+  /// Shard 0, in a serial epoch: runs every action due at `when`.
+  void run_serial(Time when);
   void timed_wait(EpochBarrier& b, bool& sense, PerShard& me);
   Mailbox& mailbox(int src, int dst) {
     return mail_[static_cast<std::size_t>(src) * sims_.size() +
@@ -118,7 +157,11 @@ class ShardEngine {
   EpochBarrier b2_;
   std::atomic<bool> abort_{false};
   bool running_ = false;
-  std::uint64_t epochs_ = 0;  // written by shard 0 only
+  bool in_serial_ = false;            // written by shard 0 only
+  std::vector<Serial> serial_;        // pending actions (heap); shard 0 only
+  Time serial_next_ = kNoPending;     // written by shard 0 between b1 and b2
+  std::uint64_t epochs_ = 0;          // written by shard 0 only
+  std::uint64_t serial_actions_ = 0;  // written by shard 0 only
 };
 
 }  // namespace ib12x::sim

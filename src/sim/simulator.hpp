@@ -7,7 +7,9 @@
 // queue or the clock.  The parallel engine (shard.hpp) runs several
 // Simulators on separate OS threads; all cross-simulator traffic goes through
 // post(), which degenerates to at() when source and destination coincide and
-// otherwise hands the event to the engine's mailboxes.
+// otherwise hands the event to the engine's mailboxes.  post_serial() is
+// the one way to act on several shards at once: the engine runs the action
+// between windows, with every shard stopped.
 //
 // Besides virtual time the kernel tracks its own wall-clock throughput
 // (events/sec, fiber switches/sec, kernel allocations) so the simulation
@@ -60,6 +62,17 @@ class Simulator {
     }
     post_cross(dst, when, std::move(fn));
   }
+
+  /// Schedules `fn` to run at `when` with the whole simulation stopped: no
+  /// shard is mid-window, every shard's clock stands at `when`, and `fn` may
+  /// touch any shard's state.  Without a parallel engine this is exactly
+  /// at().  With one, an action posted before run() waits for it; during a
+  /// run `when` must be >= the current window end (like a cross-shard post;
+  /// violations throw).  Serial actions run before any regular event at
+  /// `when`, same-instant ones in ascending `order`.  Callers that need a
+  /// run to match the unsharded one make `order` unique per instant, so the
+  /// order does not depend on which shard posted.  See shard.hpp.
+  void post_serial(Time when, std::uint64_t order, Event fn);
 
   /// Runs the earliest pending event, advancing the clock to its timestamp.
   /// Returns false if the queue was empty.
@@ -129,6 +142,17 @@ class Simulator {
 
   // ---- parallel-engine plumbing (see shard.hpp) ----
 
+  /// Serial-action entry (ShardEngine only): stops this shard's clock at
+  /// `when` — every event before it has run — and makes `when` the window
+  /// end, so posts from the action must target `when` or later.
+  void enter_serial(Time when) {
+    if (now_ < when) now_ = when;
+    queue_.advance_to(when);  // same-instant pushes take the lane, as at()'s would
+    window_end_ = when;
+  }
+  /// Counts one serial action this simulator posted as a processed event.
+  void note_serial_processed() { ++processed_; }
+
   /// Called by ShardEngine on construction/destruction.
   void attach_shard(ShardEngine* engine, int shard) {
     engine_ = engine;
@@ -142,14 +166,20 @@ class Simulator {
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
-  [[nodiscard]] std::uint64_t events_scheduled() const { return queue_.pushed(); }
+  /// Serial posts count as scheduled heap events: they always target a
+  /// later instant, where at() would have put them on the heap.
+  [[nodiscard]] std::uint64_t events_scheduled() const {
+    return queue_.pushed() + serial_posted_;
+  }
   [[nodiscard]] std::size_t events_pending() const { return queue_.size(); }
 
   // ---- kernel self-telemetry ----
 
   /// Pushes that took the same-instant FIFO lane / the time-ordered heap.
   [[nodiscard]] std::uint64_t lane_events() const { return queue_.lane_pushed(); }
-  [[nodiscard]] std::uint64_t heap_events() const { return queue_.heap_pushed(); }
+  [[nodiscard]] std::uint64_t heap_events() const {
+    return queue_.heap_pushed() + serial_posted_;
+  }
   /// Allocations the event queue performed (storage growth only).
   [[nodiscard]] std::uint64_t kernel_allocs() const { return queue_.alloc_events(); }
   [[nodiscard]] double allocs_per_event() const {
@@ -184,6 +214,7 @@ class Simulator {
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t processed_ = 0;
+  std::uint64_t serial_posted_ = 0;  ///< post_serial calls the engine took
   std::uint64_t fiber_switches_ = 0;
   std::int64_t run_wall_ns_ = 0;
   ShardEngine* engine_ = nullptr;

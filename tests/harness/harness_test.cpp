@@ -89,7 +89,6 @@ TEST(TelemetryTable, ExposesShardGaugesInShardedRuns) {
   // parallel-engine group: shard count, epochs, cross-shard events, mailbox
   // high water, and one barrier-wait wall gauge per shard.
   mvx::Config cfg = mvx::Config::enhanced(4, mvx::Policy::EPC);
-  cfg.lazy_connect = false;
   cfg.sim_shards = 2;
   mvx::World w(mvx::ClusterSpec{2, 1}, cfg);
   w.run([](mvx::Communicator& c) {

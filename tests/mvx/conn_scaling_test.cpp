@@ -36,30 +36,66 @@ void ring_exchange(Communicator& c, std::size_t bytes) {
 }
 
 TEST(ConnScaling, LazyWiresOnlyActivePeers) {
-  // 32 ranks, ring traffic: 32 pairs are active out of 32*31/2 = 496.  Lazy
-  // wiring must create QPs for the active pairs only — 2 sides × rails per
-  // pair — while the legacy eager wiring creates all 496 pairs' worth.
+  // 32 ranks, ring traffic: 32 pairs are active out of 32*31/2 = 496.  Only
+  // the active pairs are wired, each with every VCI's rail group: exactly
+  // 2 sides × rails × VCIs QPs per active pair.
   const int kRanks = 32;
-  Config lazy = Config::original();  // lazy_connect + use_srq are the defaults
-  ASSERT_TRUE(lazy.lazy_connect);
-  ASSERT_TRUE(lazy.use_srq);
-  World wl(ClusterSpec{kRanks, 1}, lazy);
-  wl.run([](Communicator& c) { ring_exchange(c, 512); });
-  const std::uint64_t lazy_qps = wl.telemetry().counter_value("conn.qps_created");
-  const std::uint64_t lazy_est = wl.telemetry().counter_value("conn.established");
-  EXPECT_EQ(lazy_qps, static_cast<std::uint64_t>(kRanks * 2 * lazy.rails()));
-  EXPECT_EQ(lazy_est, static_cast<std::uint64_t>(kRanks * 2));  // 2 sides per ring edge
-  EXPECT_GE(wl.telemetry().counter_value("conn.handshakes_inflight"), 1u);
+  for (int vcis : {1, 2}) {
+    Config cfg = Config::original();
+    cfg.vci.count = vcis;
+    World w(ClusterSpec{kRanks, 1}, cfg);
+    w.run([](Communicator& c) { ring_exchange(c, 512); });
+    EXPECT_EQ(w.telemetry().counter_value("conn.qps_created"),
+              static_cast<std::uint64_t>(kRanks * 2 * cfg.rails() * vcis))
+        << vcis << " VCIs";
+    EXPECT_EQ(w.telemetry().counter_value("rail.up"),
+              static_cast<std::uint64_t>(kRanks * 2 * cfg.rails() * vcis))
+        << vcis << " VCIs";
+    // 2 sides per ring edge.
+    EXPECT_EQ(w.telemetry().counter_value("conn.established"),
+              static_cast<std::uint64_t>(kRanks * 2))
+        << vcis << " VCIs";
+    EXPECT_GE(w.telemetry().counter_value("conn.handshakes_inflight"), 1u);
+  }
+}
 
-  Config wired = Config::original();
-  wired.lazy_connect = false;
-  wired.use_srq = false;
-  World ww(ClusterSpec{kRanks, 1}, wired);
-  ww.run([](Communicator& c) { ring_exchange(c, 512); });
-  const std::uint64_t wired_qps = ww.telemetry().counter_value("conn.qps_created");
-  EXPECT_EQ(wired_qps,
-            static_cast<std::uint64_t>(kRanks * (kRanks - 1) * wired.rails()));  // all pairs
-  EXPECT_GT(wired_qps, lazy_qps * 10);  // O(ranks²) vs O(ranks)
+TEST(ConnScaling, SetupLatencyBelowOneHopNamesField) {
+  // An out-of-band handshake cannot beat one fabric hop (wire + switch).
+  Config cfg;
+  const sim::Time hop = cfg.fabric.wire_latency + cfg.fabric.switch_latency;
+  cfg.conn_setup_latency = hop - 1;
+  try {
+    World w(ClusterSpec{2, 1}, cfg);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("conn_setup_latency"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("fabric.wire_latency"), std::string::npos) << msg;
+  }
+  // Exactly one hop is allowed, sharded too (the handshake then completes
+  // exactly one lookahead window out).
+  cfg.conn_setup_latency = hop;
+  cfg.sim_shards = 2;
+  World w(ClusterSpec{2, 1}, cfg);
+  w.run([](Communicator& c) { ring_exchange(c, 256); });
+  EXPECT_EQ(w.telemetry().counter_value("conn.established"), 2u);
+}
+
+TEST(ConnScaling, RunEndsWithUnsettledWiringThrowsNamingRankAndPeer) {
+  // The end-of-run audit: a queued send that nothing will ever dispatch is a
+  // lost handshake completion (or flush), and the run must say so.
+  World w = testutil::make_pair_world(Config{});
+  w.run([](Communicator& c) { ring_exchange(c, 64); });
+  ASSERT_TRUE(w.endpoint(0).conn().ready(1));
+  w.endpoint(0).conn().enqueue(1, QueuedSend{});
+  try {
+    w.run([](Communicator&) {});
+    FAIL() << "expected the wiring audit to throw";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rank 0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("peer 1"), std::string::npos) << msg;
+  }
 }
 
 TEST(ConnScaling, LinearFootprintAt256Ranks) {

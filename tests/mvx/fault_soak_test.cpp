@@ -185,14 +185,10 @@ TEST(FaultSoak, BitReproduciblePerSeed) {
 }
 
 TEST(FaultSoak, SrqPooledEagerSurvivesFaults) {
-  // The connection-scaling refactor removed the SRQ+fault guard; this pins
-  // use_srq=true explicitly (independent of the session defaults) with a
-  // deliberately small pool so flushed SRQ slots and low-watermark
-  // replenishes both happen while rails flap.  Flushed slots must route
-  // through the same recovery ledger as dedicated-RQ flushes.
+  // A deliberately small pool so flushed SRQ slots and low-watermark
+  // replenishes both happen while rails flap.  Flushed slots go back to the
+  // pool and their rails through the same recovery ledger as send errors.
   const SoakResult r = run_soak(0x51aafa17, /*messages=*/48, [](Config& cfg) {
-    cfg.use_srq = true;
-    cfg.lazy_connect = true;
     cfg.srq_pool_slots = 64;
     cfg.srq_limit = 8;
   });
@@ -201,14 +197,13 @@ TEST(FaultSoak, SrqPooledEagerSurvivesFaults) {
 }
 
 TEST(FaultSoak, LegacyWiringLedgerStillBalances) {
-  // The pre-refactor transport (eager all-pairs wiring, per-QP receive
-  // queues) stays a supported fault-recovery path; keep it under soak so the
-  // parked-slot machinery does not rot now that the defaults moved on.
+  // The one wiring path under the parallel engine: handshakes complete as
+  // serial actions while rails flap on both shards, and every send error is
+  // still handled by exactly one eager replay or one re-stripe.
   const SoakResult r = run_soak(0x1e6ac0de, /*messages=*/48, [](Config& cfg) {
-    cfg.use_srq = false;
-    cfg.lazy_connect = false;
+    cfg.sim_shards = 2;
   });
-  EXPECT_GT(r.send_errors, 0u) << "legacy soak injected no send-side faults";
+  EXPECT_GT(r.send_errors, 0u) << "sharded soak injected no send-side faults";
   EXPECT_EQ(r.send_errors, r.eager_retries + r.restriped);
 }
 

@@ -1,6 +1,7 @@
 // The parallel engine's oracle contract: `sim_shards = N` must produce
-// bit-identical simulated-time results to the single-threaded run.  Three
-// layers of evidence per workload:
+// bit-identical simulated-time results to the single-threaded run, on the
+// default wiring (connections made on first contact, each handshake
+// completing as a serial action).  Three layers of evidence per workload:
 //   1. every payload delivered under sharding is byte-exact (asserted inside
 //      the rank bodies);
 //   2. the full virtual-time digest — end time, global event count, every
@@ -51,7 +52,6 @@ struct Digest {
 /// token passing, and a closing barrier — with byte-exact payload checks.
 Digest run_fig06_sized(int shards) {
   Config cfg = Config::enhanced(4, Policy::EPC);
-  cfg.lazy_connect = false;  // required by sim_shards > 1; pinned for all runs
   cfg.sim_shards = shards;
   World w(ClusterSpec{/*nodes=*/4, /*procs_per_node=*/2}, cfg);
   constexpr std::size_t kBytes = 1 << 20;
@@ -159,11 +159,89 @@ TEST(ShardedDeterminism, ShardCountClampsToNodes) {
   EXPECT_EQ(eight.shard.at("sim.shard.count"), 4.0);
 }
 
-TEST(ShardedDeterminism, LazyConnectIsRejected) {
+// ---- sharded handshake stress: wiring as serial actions ----
+
+/// Connection handshakes under the parallel engine: pairs that connect
+/// simultaneously (both ranks initiate at the same instant), handshakes that
+/// complete while a link is down, and two VCIs per rank (each driven by its
+/// own thread), so every handshake wires both VCI groups across shards.
+/// Link flaps only (no per-message error draws), so the run stays
+/// comparable to the oracle.
+Digest run_handshake_stress(int shards) {
   Config cfg = Config::enhanced(2, Policy::EPC);
-  cfg.lazy_connect = true;
-  cfg.sim_shards = 2;
-  EXPECT_THROW(World(ClusterSpec{2, 1}, cfg), std::invalid_argument);
+  cfg.hcas_per_node = 2;
+  cfg.sim_shards = shards;
+  cfg.vci.count = 2;
+  cfg.vci.threads = 2;
+  cfg.fault.enabled = true;
+  // Node 1's first HCA is down while the first handshakes (t = 25 us)
+  // complete: their QPs on that port start in the error state.
+  Config::FaultConfig::LinkFlap flap;
+  flap.node = 1;
+  flap.hca = 0;
+  flap.port = 0;
+  flap.down_at = sim::microseconds(10.0);
+  flap.up_at = sim::microseconds(70.0);
+  cfg.fault.link_flaps.push_back(flap);
+  World w(ClusterSpec{/*nodes=*/4, /*procs_per_node=*/2}, cfg);
+  w.run([](Communicator& c) {
+    const int t = c.thread_id();
+    const int n = c.size();
+    // Phase 1, at t = 0: pairwise exchange across nodes — both sides of
+    // each pair initiate the same handshake at the same instant.
+    const int partner = c.rank() ^ 2;
+    {
+      const std::vector<std::byte> out = payload(2048, c.rank(), 10 + t);
+      std::vector<std::byte> in(2048);
+      c.sendrecv(out.data(), out.size(), BYTE, partner, 10 + t, in.data(), in.size(), BYTE,
+                 partner, 10 + t);
+      ASSERT_EQ(in, payload(2048, partner, 10 + t)) << "rank " << c.rank() << " thread " << t;
+    }
+    // Phase 2, staggered by the first exchange: a ring shifted by three, so
+    // new pairs connect mid-run, with eager and rendezvous sizes on this
+    // thread's VCI.
+    const int right = (c.rank() + 3) % n;
+    const int left = (c.rank() + n - 3) % n;
+    for (int i = 0; i < 3; ++i) {
+      const std::size_t bytes = i == 1 ? 40 * 1024 : 700;
+      const int tag = 100 * (t + 1) + i;
+      const std::vector<std::byte> out = payload(bytes, c.rank(), tag);
+      std::vector<std::byte> in(bytes);
+      c.sendrecv(out.data(), bytes, BYTE, right, tag, in.data(), bytes, BYTE, left, tag);
+      ASSERT_EQ(in, payload(bytes, left, tag)) << "rank " << c.rank() << " tag " << tag;
+    }
+  });
+
+  Digest d;
+  d.events = w.events_processed();
+  d.end_time = w.end_time();
+  for (const auto& s : w.telemetry().snapshot()) {
+    if (s.name.rfind("sim.shard.", 0) == 0 && !is_wall_gauge(s.name)) {
+      d.shard[s.name] = s.value;
+    }
+    if (excluded_from_oracle(s.name)) continue;
+    d.telemetry[s.name] = s.value;
+  }
+  return d;
+}
+
+TEST(ShardedHandshake, StressMatchesSingleThreadOracle) {
+  const Digest oracle = run_handshake_stress(1);
+  for (int shards : {2, 4}) {
+    const Digest sharded = run_handshake_stress(shards);
+    expect_same_digest(oracle, sharded, shards);
+    // Every handshake ran as a serial action: one per initiating side.
+    EXPECT_GT(sharded.shard.at("sim.shard.serial_actions"), 0.0) << shards << " shards";
+  }
+  // The workload did what it claims: every pair crosses nodes and wires
+  // both VCI groups (2 HCAs x 2 QPs x 2 VCIs = 8 QPs per side), and rails
+  // born dead behind the flapped port recovered.
+  const double pairs = oracle.telemetry.at("conn.established") / 2;
+  EXPECT_GT(pairs, 0.0);
+  EXPECT_EQ(oracle.telemetry.at("conn.qps_created"), pairs * 2 * 8);
+  EXPECT_GT(oracle.telemetry.at("rail.down"), 0.0);
+  EXPECT_GT(oracle.telemetry.at("rail.recovered"), 0.0);
+  EXPECT_GT(oracle.telemetry.at("vci.sends.v1"), 0.0);
 }
 
 // ---- sharded fault soak: the PR-5 reproducibility property under shards ----
@@ -182,7 +260,6 @@ struct SoakDigest {
 SoakDigest run_sharded_soak(std::uint64_t seed) {
   Config cfg = Config::enhanced(2, Policy::EPC);
   cfg.hcas_per_node = 2;  // flapping one HCA's port leaves half the rails up
-  cfg.lazy_connect = false;
   cfg.sim_shards = 2;
   cfg.fault.enabled = true;
   cfg.fault.seed = seed ^ 0xfa17;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -202,6 +204,151 @@ TEST(ShardEngine, FourShardRingIsDeterministicAcrossRuns) {
   run_ring(second);
   EXPECT_EQ(first, second);
   ASSERT_EQ(first.size(), 41u);
+}
+
+// ---- serial actions (Simulator::post_serial) ----
+
+TEST(ShardEngine, SerialActionSeesEveryClockAtWhenBeforeRegularEvents) {
+  const Time W = nanoseconds(100);
+  const Time when = 5 * W;
+  Simulator a;
+  Simulator b;
+  ShardEngine engine({&a, &b}, W);
+  // One log per shard (the shards run concurrently); the action, which runs
+  // with both stopped, writes to both.
+  std::vector<std::string> log_a;
+  std::vector<std::string> log_b;
+  Time a_clock = -1;
+  Time b_clock = -1;
+  // Regular events at `when` on both shards, queued before the action is
+  // even posted: the action still runs first.
+  a.at(when, [&] { log_a.push_back("a@when"); });
+  b.at(when, [&] { log_b.push_back("b@when"); });
+  a.at(0, [&] {
+    a.post_serial(when, /*order=*/0, [&] {
+      a_clock = a.now();
+      b_clock = b.now();
+      log_a.push_back("serial");
+      log_b.push_back("serial");
+      // The action may act on any shard, at its own instant or later.
+      b.at(b.now(), [&] { log_b.push_back("b@when from serial"); });
+    });
+  });
+  engine.run();
+  EXPECT_EQ(a_clock, when);
+  EXPECT_EQ(b_clock, when);
+  EXPECT_EQ(log_a, (std::vector<std::string>{"serial", "a@when"}));
+  EXPECT_EQ(log_b, (std::vector<std::string>{"serial", "b@when", "b@when from serial"}));
+  EXPECT_EQ(engine.serial_actions(), 1u);
+}
+
+TEST(ShardEngine, SerialActionCountsAsOneEvent) {
+  // Same program, unsharded (post_serial is plain at()) and sharded: the
+  // processed and heap-push totals agree.
+  const Time W = nanoseconds(100);
+  auto program = [W](Simulator& a, Simulator& b) {
+    a.at(0, [&a, &b, W] {
+      a.post_serial(3 * W, /*order=*/0, [&b, W] { b.at(b.now() + W, [] {}); });
+    });
+  };
+  Simulator single;
+  program(single, single);
+  single.run();
+
+  Simulator a;
+  Simulator b;
+  ShardEngine engine({&a, &b}, W);
+  program(a, b);
+  engine.run();
+  EXPECT_EQ(a.events_processed() + b.events_processed(), single.events_processed());
+  EXPECT_EQ(a.heap_events() + b.heap_events(), single.heap_events());
+  EXPECT_EQ(a.events_scheduled() + b.events_scheduled(), single.events_scheduled());
+  EXPECT_EQ(single.events_processed(), 3u);
+}
+
+TEST(ShardEngine, PendingSerialActionKeepsTheRunAlive) {
+  // After the posting event no regular event is left anywhere; the engine
+  // must not call the run drained while the action is pending.
+  const Time W = nanoseconds(100);
+  Simulator a;
+  Simulator b;
+  ShardEngine engine({&a, &b}, W);
+  bool ran = false;
+  Time follow_up = -1;
+  a.at(0, [&] {
+    a.post_serial(40 * W, /*order=*/0, [&] {
+      ran = true;
+      b.at(b.now() + W, [&] { follow_up = b.now(); });
+    });
+  });
+  engine.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(follow_up, 41 * W);
+}
+
+TEST(ShardEngine, PreRunSerialPostWaitsForTheRun) {
+  // Posted while the engine is attached but idle (construction time): the
+  // action is held for run() and still runs with every shard stopped.
+  const Time W = nanoseconds(100);
+  Simulator a;
+  Simulator b;
+  ShardEngine engine({&a, &b}, W);
+  Time b_clock = -1;
+  a.post_serial(7 * W, /*order=*/0, [&] { b_clock = b.now(); });
+  EXPECT_TRUE(a.idle());
+  engine.run();
+  EXPECT_EQ(b_clock, 7 * W);
+  EXPECT_EQ(engine.serial_actions(), 1u);
+}
+
+TEST(ShardEngine, SerialPostInsideCurrentWindowThrows) {
+  const Time W = nanoseconds(100);
+  Simulator a;
+  Simulator b;
+  ShardEngine engine({&a, &b}, W);
+  a.at(0, [&] { a.post_serial(a.now() + 1, /*order=*/0, [] {}); });
+  EXPECT_THROW(engine.run(), std::logic_error);
+  EXPECT_FALSE(engine.running());
+}
+
+TEST(ShardEngine, SameInstantSerialActionsRunInOrderKeyNotShardOrder) {
+  const Time W = nanoseconds(100);
+  Simulator a;
+  Simulator b;
+  ShardEngine engine({&a, &b}, W);
+  std::vector<int> order;
+  // Shard 1 posts the smaller key, shard 0 the larger one, and shard 0
+  // posts a second action for the same instant with the smallest key.
+  a.at(0, [&] {
+    a.post_serial(4 * W, 7, [&] { order.push_back(7); });
+    a.post_serial(4 * W, 1, [&] { order.push_back(1); });
+  });
+  b.at(0, [&] { b.post_serial(4 * W, 3, [&] { order.push_back(3); }); });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 7}));
+}
+
+TEST(ShardEngine, SerialActionClipsWindowsSoNoShardPassesIt) {
+  // A long-running event chain on shard 1 must not run past the action's
+  // instant before the action has seen shard 1's state.
+  const Time W = nanoseconds(100);
+  Simulator a;
+  Simulator b;
+  ShardEngine engine({&a, &b}, W);
+  int ticks_before_serial = -1;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    if (ticks < 50) b.at(b.now() + W / 4, tick);
+  };
+  b.at(0, tick);
+  a.at(0, [&] {
+    a.post_serial(3 * W + W / 8, 0, [&] { ticks_before_serial = ticks; });
+  });
+  engine.run();
+  // Ticks at 0, W/4, ..., 3W: 13 of them precede 3W + W/8.
+  EXPECT_EQ(ticks_before_serial, 13);
+  EXPECT_EQ(ticks, 50);
 }
 
 }  // namespace
