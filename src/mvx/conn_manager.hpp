@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <set>
 #include <vector>
@@ -34,6 +33,7 @@
 #include "mvx/policy.hpp"
 #include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
+#include "sim/fifo.hpp"
 
 namespace ib12x::mvx {
 
@@ -96,7 +96,7 @@ class ConnManager {
 
   struct PeerConn {
     State st = State::Unconnected;
-    std::deque<QueuedSend> q;
+    sim::Fifo<QueuedSend> q;  ///< allocates nothing for a peer that never queues
   };
 
   ChannelHost& host_;

@@ -75,6 +75,8 @@ class Endpoint final : public ChannelHost {
   /// The connection manager: every peer is wired on first contact.  World
   /// injects the wire function.
   [[nodiscard]] ConnManager& conn() { return *conn_; }
+  /// The inter-node channel (rails, credits, eager pools).
+  [[nodiscard]] NetChannel& net() { return *net_; }
 
   /// Binds the simulated process that runs this rank's code.
   void attach_process(sim::Process* p) { proc_ = p; }

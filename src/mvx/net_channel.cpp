@@ -52,32 +52,35 @@ void NetChannel::ensure_net_resources() {
     vci_credit_split_->track_max(static_cast<std::uint64_t>(rail_credits()));
   }
   const std::size_t slot_bytes = kHeaderBytes + static_cast<std::size_t>(cfg.rndv_threshold);
+  const std::size_t stride = slot_stride(slot_bytes);
 
-  // Sender-side eager bounce pool, registered in every local HCA domain.
+  // Sender-side eager bounce pool; each buffer is registered on its own in
+  // every local HCA domain, so check_lkey confines a send to its buffer.
+  bounce_arena_ = map_slots(cfg.send_bounce_bufs, slot_bytes);
   bounce_.resize(static_cast<std::size_t>(cfg.send_bounce_bufs));
   for (std::size_t i = 0; i < bounce_.size(); ++i) {
-    bounce_[i].data.resize(slot_bytes);
+    bounce_[i].data = bounce_arena_.data() + i * stride;
     for (std::size_t h = 0; h < hcas_.size(); ++h) {
-      bounce_[i].lkey[h] =
-          hcas_[h]->mem().register_memory(bounce_[i].data.data(), slot_bytes).lkey;
+      bounce_[i].lkey[h] = hcas_[h]->mem().register_memory(bounce_[i].data, slot_bytes).lkey;
     }
     free_bounce_.push_back(static_cast<int>(i));
   }
 
   // One shared receive queue + one pooled slot arena per local HCA — the
-  // receive-buffer footprint is O(1) in the peer count.
+  // receive-buffer footprint is O(1) in the peer count.  eager.pool_bytes
+  // counts the modelled pinned bytes (slots × slot_bytes), not the padding.
   const int slots = std::max(1, cfg.srq_pool_slots);
   pools_.resize(hcas_.size());
   for (std::size_t h = 0; h < hcas_.size(); ++h) {
     HcaPool& pool = pools_[h];
     pool.srq = &hcas_[h]->create_srq();
-    pool.arena.resize(static_cast<std::size_t>(slots) * slot_bytes);
+    pool.arena = map_slots(slots, slot_bytes);
     pool.lkey = hcas_[h]->mem().register_memory(pool.arena.data(), pool.arena.size()).lkey;
-    eager_pool_bytes_.add(pool.arena.size());
+    eager_pool_bytes_.add(static_cast<std::size_t>(slots) * slot_bytes);
     for (int i = 0; i < slots; ++i) {
       auto slot = std::make_unique<RecvSlot>();
       slot->srq = pool.srq;
-      slot->data = pool.arena.data() + static_cast<std::size_t>(i) * slot_bytes;
+      slot->data = pool.arena.data() + static_cast<std::size_t>(i) * stride;
       slot->len = static_cast<std::uint32_t>(slot_bytes);
       slot->lkey = pool.lkey;
       slot->hca = static_cast<int>(h);
@@ -94,6 +97,15 @@ void NetChannel::ensure_net_resources() {
       pool.srq->arm_limit(cfg.srq_limit);
     }
   }
+}
+
+sim::PageMapping NetChannel::map_slots(int count, std::size_t slot_bytes) {
+  const std::size_t stride = slot_stride(slot_bytes);
+  sim::PageMapping m(static_cast<std::size_t>(count) * stride);
+  for (std::size_t off = 0; off < m.size(); off += stride) {
+    m.poison(off + slot_bytes, stride - slot_bytes);
+  }
+  return m;
 }
 
 int NetChannel::rail_credits() const {
@@ -291,7 +303,7 @@ int NetChannel::acquire_bounce_and_credit(Peer& c, int rail) {
 
 std::int64_t NetChannel::write_bounce(int bounce, const MsgHeader& hdr, const void* payload,
                                       std::int64_t bytes) {
-  std::byte* dst = bounce_[static_cast<std::size_t>(bounce)].data.data();
+  std::byte* dst = bounce_[static_cast<std::size_t>(bounce)].data;
   write_header(dst, hdr);
   if (bytes > 0) std::memcpy(dst + kHeaderBytes, payload, static_cast<std::size_t>(bytes));
   return static_cast<std::int64_t>(kHeaderBytes) + bytes;
@@ -791,7 +803,7 @@ void NetChannel::retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes,
   // an idle rail of theirs may sit behind the same dead link, not yet marked
   // down.
   Peer& c = peer(peer_rank);
-  const int vci = read_header(bounce_[static_cast<std::size_t>(bounce)].data.data()).vci;
+  const int vci = read_header(bounce_[static_cast<std::size_t>(bounce)].data).vci;
   const int n = host_.config().rails();
   const int base = vci * n;
   const int start = c.lanes.at(static_cast<std::size_t>(vci)).cursor.next;
@@ -830,7 +842,7 @@ void NetChannel::post_bounce(Peer& c, int peer_rank, int rail, int bounce,
   r.outstanding += wire_bytes;
   r.qp->post_send({.wr_id = reinterpret_cast<std::uint64_t>(ctx),
                    .opcode = ib::Opcode::Send,
-                   .src = bb.data.data(),
+                   .src = bb.data,
                    .length = static_cast<std::uint32_t>(wire_bytes),
                    .lkey = bb.lkey[r.hca_index]});
 }

@@ -24,6 +24,8 @@
 #include "mvx/peer_table.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/telemetry.hpp"
+#include "sim/fifo.hpp"
+#include "sim/page_mapping.hpp"
 
 namespace ib12x::mvx {
 
@@ -121,6 +123,9 @@ class NetChannel final : public Channel {
   [[nodiscard]] const std::vector<ib::Hca*>& hcas() const { return hcas_; }
 
  private:
+  /// Read access to the eager pools' layout for the tests that check it.
+  friend class NetChannelProbe;
+
   /// A preposted receive slot in one HCA's pool arena; it belongs to no
   /// peer and is recycled through its SRQ after each inbound message.
   struct RecvSlot {
@@ -136,7 +141,7 @@ class NetChannel final : public Channel {
   /// batched-replenish state driven by the srq_limit low-watermark event.
   struct HcaPool {
     ib::SharedReceiveQueue* srq = nullptr;
-    std::vector<std::byte> arena;
+    sim::PageMapping arena;  ///< srq_pool_slots slots (map_slots layout)
     ib::LKey lkey = 0;
     std::vector<RecvSlot*> drained;  ///< consumed slots awaiting batched repost
     bool want_replenish = false;     ///< a limit event fired since the last repost
@@ -155,9 +160,10 @@ class NetChannel final : public Channel {
     int recovery_polls = 0;           ///< consecutive still-down probes (bounded)
   };
 
-  /// An eager bounce buffer registered in every local HCA domain.
+  /// An eager bounce buffer — one slot of bounce_arena_ — registered on its
+  /// own in every local HCA domain.
   struct BounceBuf {
-    std::vector<std::byte> data;
+    std::byte* data = nullptr;
     ib::LKey lkey[kMaxHcas] = {0, 0, 0, 0};
   };
 
@@ -166,8 +172,8 @@ class NetChannel final : public Channel {
   struct VciLane {
     RailCursor cursor;
     RailCursor ctl;  ///< control-traffic cursor (rndv_pipeline mode)
-    /// Control messages waiting for rail credit.
-    std::deque<std::pair<MsgHeader, CtsRkeys>> pending_ctl;
+    /// Control messages waiting for rail credit (no heap until one waits).
+    sim::Fifo<std::pair<MsgHeader, CtsRkeys>> pending_ctl;
   };
 
   struct Peer {
@@ -218,6 +224,14 @@ class NetChannel final : public Channel {
   /// Runs at the first establish — a rank that never touches the network
   /// allocates nothing.
   void ensure_net_resources();
+  /// Maps `count` eager slots of `slot_bytes` each.  Every slot starts on a
+  /// page boundary (slot i at i · slot_stride(slot_bytes)), so a small
+  /// message touches one page and an untouched slot costs no memory; under
+  /// ASan the padding after each slot is poisoned, as a heap redzone would be.
+  static sim::PageMapping map_slots(int count, std::size_t slot_bytes);
+  [[nodiscard]] static std::size_t slot_stride(std::size_t slot_bytes) {
+    return sim::PageMapping::round_to_pages(slot_bytes);
+  }
   /// Wires one more VCI's QP group between two sides' peer entries: the
   /// next hcas × ports × qps rail block is appended to each rail vector.
   static void wire_vci_group(NetChannel& a, NetChannel& b);
@@ -288,6 +302,7 @@ class NetChannel final : public Channel {
   std::vector<std::unique_ptr<RecvSlot>> recv_slots_;
   std::vector<HcaPool> pools_;  ///< per local HCA
 
+  sim::PageMapping bounce_arena_;  ///< send_bounce_bufs slots (map_slots layout)
   std::vector<BounceBuf> bounce_;
   std::vector<int> free_bounce_;
   /// Owns every SendCtx, so contexts still in flight when the channel is

@@ -1,6 +1,20 @@
 #include "sim/fiber.hpp"
 
+#include <sys/mman.h>
+
+#include <cerrno>
+#include <system_error>
+
 namespace ib12x::sim {
+
+PageMapping Fiber::map_stack(std::size_t stack_bytes) {
+  const std::size_t page = PageMapping::page_size();
+  PageMapping m(page + stack_bytes);
+  if (::mprotect(m.data(), page, PROT_NONE) != 0) {
+    throw std::system_error(errno, std::generic_category(), "Fiber: guard page mprotect");
+  }
+  return m;
+}
 
 extern "C" void ib12x_fiber_entry(void* self) {
   static_cast<Fiber*>(self)->run_body_entry();

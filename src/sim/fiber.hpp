@@ -26,8 +26,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <stdexcept>
+
+#include "sim/page_mapping.hpp"
 
 #if defined(__x86_64__) && defined(__ELF__) && !defined(IB12X_FIBER_UCONTEXT)
 #define IB12X_FIBER_FAST_SWITCH 1
@@ -75,13 +76,17 @@ class Fiber {
  public:
   /// Default stack size per fiber.  Process bodies keep bulk data on the
   /// heap; 512 KiB leaves ample headroom for NAS kernels and deep call
-  /// chains.  The pages are only committed when touched.
+  /// chains.  The stack is its own page mapping (sim/page_mapping.hpp), so
+  /// only the pages a body touches are ever committed, and a PROT_NONE
+  /// guard page below it turns an overflow into SIGSEGV instead of a write
+  /// into whatever memory lies underneath.
   static constexpr std::size_t kDefaultStackBytes = 512 * 1024;
 
+  /// `stack_bytes` is rounded up to whole pages.
   explicit Fiber(std::function<void()> body, std::size_t stack_bytes = kDefaultStackBytes)
       : body_(std::move(body)),
-        stack_(new unsigned char[stack_bytes]),  // default-init: pages stay untouched
-        stack_bytes_(stack_bytes) {}
+        stack_bytes_(PageMapping::round_to_pages(stack_bytes)),
+        stack_(map_stack(stack_bytes_)) {}
 
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -103,7 +108,7 @@ class Fiber {
       seed_stack();
     }
 #ifdef IB12X_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&host_fake_stack_, stack_.get(), stack_bytes_);
+    __sanitizer_start_switch_fiber(&host_fake_stack_, stack_base(), stack_bytes_);
 #endif
 #ifdef IB12X_TSAN_FIBERS
     if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
@@ -143,12 +148,17 @@ class Fiber {
   void run_body_entry() { run_body(); }
 
  private:
+  /// Maps a guard page plus `stack_bytes` of stack (src/sim/fiber.cpp).
+  static PageMapping map_stack(std::size_t stack_bytes);
+  /// Lowest usable stack address, just above the guard page.
+  [[nodiscard]] std::byte* stack_base() const { return stack_.data() + PageMapping::page_size(); }
+
 #ifdef IB12X_FIBER_FAST_SWITCH
   /// Builds the initial stack frame ib12x_ctx_switch will "return" through:
   /// the six callee-saved register slots (this parked in r12) topped by the
   /// entry thunk's address.
   void seed_stack() {
-    auto top = reinterpret_cast<std::uintptr_t>(stack_.get() + stack_bytes_);
+    auto top = reinterpret_cast<std::uintptr_t>(stack_base() + stack_bytes_);
     auto** sp = reinterpret_cast<void**>(top & ~static_cast<std::uintptr_t>(15));
     *--sp = nullptr;                                     // spacer keeps entry aligned
     *--sp = reinterpret_cast<void*>(&ib12x_ctx_entry);   // retq target
@@ -163,7 +173,7 @@ class Fiber {
 #else
   void seed_stack() {
     getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = stack_.get();
+    ctx_.uc_stack.ss_sp = stack_base();
     ctx_.uc_stack.ss_size = stack_bytes_;
     ctx_.uc_link = nullptr;  // the body's tail swaps back explicitly
     const auto self = reinterpret_cast<std::uintptr_t>(this);
@@ -200,8 +210,8 @@ class Fiber {
   }
 
   std::function<void()> body_;
-  std::unique_ptr<unsigned char[]> stack_;
   std::size_t stack_bytes_;
+  PageMapping stack_;  ///< [guard page][stack_bytes_ of stack]
 #ifdef IB12X_FIBER_FAST_SWITCH
   void* fiber_sp_ = nullptr;
   void* host_sp_ = nullptr;

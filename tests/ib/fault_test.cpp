@@ -109,6 +109,61 @@ TEST(Fault, TransitionFlushesQueuedWqesInPostOrder) {
   EXPECT_FALSE(f.a.scq.poll(wc));
 }
 
+TEST(Fault, TransitionFlushOrderSurvivesWrappedQueues) {
+  // The work queues are ring buffers: let the receive queue's head advance
+  // (two WQEs consumed by inbound sends), then post enough that every queue
+  // grows while its contents wrap.  The flush order must still be send
+  // queue, deferred batch, receive queue — each in post order.
+  TwoNodeFabric f;
+  auto src = pattern_buffer(64);
+  std::vector<std::byte> dst(64);
+  auto a_src = f.a.hca->mem().register_memory(src.data(), src.size());
+  auto a_dst = f.a.hca->mem().register_memory(dst.data(), dst.size());
+  auto b_src = f.b.hca->mem().register_memory(src.data(), src.size());
+  QueuePair& qp = *f.a.qps[0];
+
+  for (std::uint64_t id = 100; id <= 102; ++id) {
+    qp.post_recv({.wr_id = id, .dst = dst.data(), .length = 64, .lkey = a_dst.lkey});
+  }
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    f.b.qps[0]->post_send({.wr_id = id, .opcode = Opcode::Send, .src = src.data(),
+                           .length = 64, .lkey = b_src.lkey});
+  }
+  const auto consumed = f.drain(f.a.rcq);
+  ASSERT_EQ(consumed.size(), 2u);
+  EXPECT_EQ(consumed[0].wr_id, 100u);
+  EXPECT_EQ(consumed[1].wr_id, 101u);
+
+  for (std::uint64_t id = 103; id <= 111; ++id) {
+    qp.post_recv({.wr_id = id, .dst = dst.data(), .length = 64, .lkey = a_dst.lkey});
+  }
+  for (std::uint64_t id = 1; id <= 10; ++id) {
+    qp.post_send({.wr_id = id, .opcode = Opcode::Send, .src = src.data(), .length = 64,
+                  .lkey = a_src.lkey});
+  }
+  for (std::uint64_t id = 11; id <= 19; ++id) {
+    qp.post_send_deferred({.wr_id = id, .opcode = Opcode::Send, .src = src.data(),
+                           .length = 64, .lkey = a_src.lkey});
+  }
+
+  qp.transition_to_error();
+
+  // wr 1 is already in the scheduler's hands.
+  Wc wc;
+  for (std::uint64_t id = 2; id <= 19; ++id) {
+    ASSERT_TRUE(f.a.scq.poll(wc)) << "send wr " << id;
+    EXPECT_EQ(wc.wr_id, id);
+    EXPECT_EQ(wc.status, WcStatus::WrFlushErr);
+  }
+  EXPECT_FALSE(f.a.scq.poll(wc));
+  for (std::uint64_t id = 102; id <= 111; ++id) {
+    ASSERT_TRUE(f.a.rcq.poll(wc)) << "recv wr " << id;
+    EXPECT_EQ(wc.wr_id, id);
+    EXPECT_EQ(wc.status, WcStatus::WrFlushErr);
+  }
+  EXPECT_FALSE(f.a.rcq.poll(wc));
+}
+
 TEST(Fault, ResetReturnsQpToService) {
   TwoNodeFabric f;
   auto src = pattern_buffer(1024);
