@@ -292,17 +292,38 @@ void BM_ShardedAlltoallEventsPerSec(benchmark::State& state) {
 BENCHMARK(BM_ShardedAlltoallEventsPerSec)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->MeasureProcessCPUTime()->UseRealTime();
 
+// Forward and inverse alternate, so the data stay finite: repeated forward
+// transforms grow it by n per call until it overflows to inf and NaN.
 void BM_Fft(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   nas::Fft fft(n);
   std::vector<nas::Complex> data(n, nas::Complex(1.0, -0.5));
+  int sign = -1;
   for (auto _ : state) {
-    fft.transform(data.data(), -1);
+    fft.transform(data.data(), sign);
+    sign = -sign;
     benchmark::DoNotOptimize(data[0]);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Fft)->Arg(128)->Arg(4096);
+
+// The FT y-pass: 128-point transforms of all 128 columns of a plane at once.
+void BM_FftColumns(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t count = static_cast<std::size_t>(state.range(1));
+  nas::Fft fft(n);
+  std::vector<nas::Complex> plane(n * count, nas::Complex(1.0, -0.5));
+  int sign = -1;
+  for (auto _ : state) {
+    fft.transform_columns(plane.data(), count, count, sign);
+    sign = -sign;
+    benchmark::DoNotOptimize(plane.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n * count));
+}
+BENCHMARK(BM_FftColumns)->Args({128, 128});
 
 }  // namespace
 

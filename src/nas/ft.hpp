@@ -18,11 +18,16 @@ namespace ib12x::nas {
 
 struct FtResult {
   double seconds = 0;    ///< virtual execution time of the timed region
-  bool verified = false; ///< checksums finite and layout checks passed
+  bool verified = false; ///< ft_verify(cls, checksums)
   std::vector<std::complex<double>> checksums;  ///< one per iteration
 };
 
 FtResult run_ft(mvx::Communicator& comm, NasClass cls);
-FtResult run_ft(mvx::Communicator& comm, const FtParams& params);
+
+/// NPB-style verification: one checksum per iteration of `cls`, each within
+/// a relative error |cs − ref| / |ref| ≤ 1e-12 of the class's reference.
+/// The references hold for every process layout: layouts sum the checksum
+/// samples in different orders, which moves them by < 1e-14.
+bool ft_verify(NasClass cls, const std::vector<std::complex<double>>& checksums);
 
 }  // namespace ib12x::nas
