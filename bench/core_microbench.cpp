@@ -21,7 +21,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/process.hpp"
 #include "sim/server.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -208,89 +207,6 @@ void BM_MpiPingPongWallClock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_MpiPingPongWallClock);
-
-// ---- parallel-engine scaling (the sim_shards knob) ------------------------
-//
-// Both benchmarks report events/sec via SetItemsProcessed, so the JSON's
-// items_per_second column *is* the scaling curve, plus a host_cpus counter so
-// readers can tell a 1-core container (where >1 shard cannot speed anything
-// up) from a real multi-core run.
-
-/// One relay chain: hops across the shard mesh every `gap` of virtual time.
-struct MeshRelay {
-  std::vector<sim::Simulator*>* sims;
-  sim::Time gap;
-  int remaining;
-  int at;
-  void operator()() {
-    if (--remaining <= 0) return;
-    sim::Simulator& cur = *(*sims)[static_cast<std::size_t>(at)];
-    const int next = (at + 1) % static_cast<int>(sims->size());
-    MeshRelay hop = *this;
-    hop.at = next;
-    cur.post(*(*sims)[static_cast<std::size_t>(next)], cur.now() + gap, hop);
-  }
-};
-
-void BM_ShardedRelayEventsPerSec(benchmark::State& state) {
-  // Pure sim-layer scaling: a multi-node ping-pong mesh of relay chains
-  // hopping shard to shard with one lookahead window per hop — all cross-
-  // shard traffic, the engine's worst case for barrier overhead.
-  const int shards = static_cast<int>(state.range(0));
-  constexpr int kChains = 16;
-  constexpr int kHops = 4000;
-  const sim::Time gap = sim::nanoseconds(700);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    std::vector<sim::Simulator> sims(static_cast<std::size_t>(shards));
-    std::vector<sim::Simulator*> ptrs;
-    for (auto& s : sims) ptrs.push_back(&s);
-    for (int c = 0; c < kChains; ++c) {
-      const int at = c % shards;
-      sims[static_cast<std::size_t>(at)].at(c, MeshRelay{&ptrs, gap, kHops, at});
-    }
-    if (shards == 1) {
-      sims[0].run();
-    } else {
-      sim::ShardEngine engine(ptrs, gap);
-      engine.run();
-    }
-    for (const auto& s : sims) events += s.events_processed();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["shards"] = shards;
-  state.counters["host_cpus"] = static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ShardedRelayEventsPerSec)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_ShardedAlltoallEventsPerSec(benchmark::State& state) {
-  // End-to-end scaling on a fig08-alltoall-sized workload: 8 nodes, every
-  // rank exchanging 16 KiB with every other rank through the full MPI +
-  // HCA model, partitioned over sim_shards shards.
-  const int shards = static_cast<int>(state.range(0));
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    mvx::Config cfg = mvx::Config::enhanced(4, mvx::Policy::EPC);
-    cfg.sim_shards = shards;
-    mvx::World w(mvx::ClusterSpec{/*nodes=*/8, /*procs_per_node=*/1}, cfg);
-    w.run([](mvx::Communicator& c) {
-      constexpr std::size_t kPerDest = 16 * 1024;
-      std::vector<std::byte> in(kPerDest * static_cast<std::size_t>(c.size()));
-      std::vector<std::byte> out(in.size());
-      for (int it = 0; it < 3; ++it) {
-        c.alltoall(in.data(), out.data(), kPerDest, mvx::BYTE);
-      }
-      c.barrier();
-    });
-    events += w.events_processed();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["shards"] = shards;
-  state.counters["host_cpus"] = static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ShardedAlltoallEventsPerSec)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->MeasureProcessCPUTime()->UseRealTime();
 
 // Forward and inverse alternate, so the data stay finite: repeated forward
 // transforms grow it by n per call until it overflows to inf and NaN.

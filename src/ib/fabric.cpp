@@ -10,21 +10,14 @@ namespace ib12x::ib {
 Fabric::Fabric(sim::Simulator& sim, HcaParams hca_params, FabricParams fabric_params,
                TopologySpec topo_spec)
     : sim_(sim), hca_params_(hca_params), fabric_params_(fabric_params),
-      topology_(std::make_unique<Topology>(topo_spec, fabric_params)) {
-  // Switches run on the fabric's own simulator unless the parallel engine
-  // re-homes them (Topology::assign_switch_sims, driven by mvx::World).
-  topology_->set_default_sim(&sim_);
-}
+      topology_(std::make_unique<Topology>(topo_spec, fabric_params)) {}
 
 Fabric::~Fabric() = default;
 
 void Fabric::attach_fault(std::unique_ptr<FaultPlan> plan) { fault_ = std::move(plan); }
 
-Hca& Fabric::add_hca(int node) { return add_hca(node, sim_); }
-
-Hca& Fabric::add_hca(int node, sim::Simulator& sim) {
-  const int uid = static_cast<int>(hcas_.size());
-  hcas_.push_back(std::unique_ptr<Hca>(new Hca(*this, node, hca_params_, sim, uid)));
+Hca& Fabric::add_hca(int node) {
+  hcas_.push_back(std::unique_ptr<Hca>(new Hca(*this, node, hca_params_)));
   Hca& hca = *hcas_.back();
   // Every port gets the next LID in attach order; the topology's host-port
   // enumeration follows the same order, so LID assignment is just a counter.

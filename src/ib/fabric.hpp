@@ -29,12 +29,8 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Attaches a new HCA for the given node id, living on the fabric's own
-  /// simulator (the single-threaded engine).
+  /// Attaches a new HCA for the given node id.
   Hca& add_hca(int node);
-  /// Attaches a new HCA placed on an explicit simulator shard (the parallel
-  /// engine's object→shard placement; see sim/shard.hpp).
-  Hca& add_hca(int node, sim::Simulator& sim);
 
   /// Connects two QPs into an RC pair (both directions).
   static void connect(QueuePair& a, QueuePair& b);

@@ -15,19 +15,11 @@
 // hooks are single null checks and behaviour is bit-identical to the
 // fault-free model.
 //
-// Parallel engine (sim/shard.hpp): link events are serial actions
-// (Simulator::post_serial), so one link-state view transitions the QPs on
-// both ends of each pair with every shard stopped, exactly where the
-// unsharded run does.  Message faults switch to per-HCA RNG streams
-// (enable_sharded_streams) because the global service order that fed the
-// single stream no longer exists across shards; each HCA's own service
-// order is still deterministic, so sharded runs with message faults stay
-// bit-reproducible per seed (but draw a different fault sequence than the
-// single stream).  The counters are relaxed atomics, off the fault-free hot
-// path.
+// Link events are ordinary simulator events: each one transitions the QPs on
+// both ends of every pair crossing the port at once.  Message faults draw
+// from one stream in global WQE service order, which the event queue fixes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -66,36 +58,25 @@ class FaultPlan {
   /// Schedules a link transition for port `port_idx` of `hca` at time `at`.
   void add_link_event(sim::Time at, Hca* hca, int port_idx, bool up);
 
-  /// Registers every scheduled link event with the simulator (shard 0's,
-  /// under the parallel engine), as serial actions.  Call once, after all
-  /// add_link_event calls and before the simulation runs.
+  /// Schedules every link event with the simulator, in add order (which
+  /// also orders same-instant ones).  Call once, after all add_link_event
+  /// calls and before the simulation runs.
   void arm(sim::Simulator& sim);
 
-  /// Switches message-fault draws to one independent RNG stream per HCA
-  /// (keyed by Hca::uid(), seeds derived from the plan seed).  Required
-  /// before a sharded run with msg_error_rate > 0.
-  void enable_sharded_streams(int hca_count);
-
-  /// Draws the fate of one serviced send WQE on `src` (advances an RNG
-  /// stream only when msg_error_rate is non-zero).
-  MsgFault draw_msg_fault(const Hca& src);
+  /// Draws the fate of one serviced send WQE (advances the RNG stream only
+  /// when msg_error_rate is non-zero).
+  MsgFault draw_msg_fault();
 
   [[nodiscard]] sim::Time retry_latency() const { return params_.retry_latency; }
-  /// Current link state of one port.  Changes only in serial actions, so any
-  /// shard may read it (NetChannel::establish runs in one, too).
+  /// Current link state of one port (NetChannel::establish reads it to
+  /// start rails behind a dead port in the error state).
   [[nodiscard]] bool port_down(const Hca* hca, int port_idx) const;
 
-  void count_rnr_drop() { rnr_drops_.fetch_add(1, std::memory_order_relaxed); }
+  void count_rnr_drop() { ++rnr_drops_; }
 
-  [[nodiscard]] std::uint64_t injected_errors() const {
-    return injected_errors_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t link_transitions() const {
-    return link_transitions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t rnr_drops() const {
-    return rnr_drops_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t injected_errors() const { return injected_errors_; }
+  [[nodiscard]] std::uint64_t link_transitions() const { return link_transitions_; }
+  [[nodiscard]] std::uint64_t rnr_drops() const { return rnr_drops_; }
 
  private:
   struct LinkEvent {
@@ -109,13 +90,11 @@ class FaultPlan {
 
   Params params_;
   sim::Rng rng_;
-  std::vector<sim::Rng> hca_rngs_;  ///< per-HCA streams (sharded mode)
-  bool sharded_streams_ = false;
   std::vector<LinkEvent> events_;
   std::vector<std::pair<const Hca*, int>> down_;  ///< ports currently down
-  std::atomic<std::uint64_t> injected_errors_{0};
-  std::atomic<std::uint64_t> link_transitions_{0};
-  std::atomic<std::uint64_t> rnr_drops_{0};
+  std::uint64_t injected_errors_ = 0;
+  std::uint64_t link_transitions_ = 0;
+  std::uint64_t rnr_drops_ = 0;
 };
 
 }  // namespace ib12x::ib

@@ -215,9 +215,8 @@ struct Transfer {
   int hop_idx = 0;  ///< contention mode: position in the re-resolved route
   QpNum src_qp_num = 0;
   /// Injected failure verdict (AckDrop at service, RNR drop at delivery):
-  /// the requester CQE completes in error.  Written on the responder's shard
-  /// at delivery and read on the requester's at the CQE, a full ACK round
-  /// later (past the lookahead window), so the epoch barrier orders the two.
+  /// the requester CQE completes in error.  Written at delivery and read at
+  /// the CQE, which runs strictly later (a full ACK round).
   bool failed = false;
   std::int64_t bytes = 0;
   std::int64_t wire_bytes = 0;
@@ -306,7 +305,7 @@ void Port::service(QueuePair* qp, int eng) {
   // branch is a single null check on the fault-free path).
   FaultPlan* plan = hca_->fabric().fault_plan();
   MsgFault fault = MsgFault::None;
-  if (plan != nullptr) fault = plan->draw_msg_fault(*hca_);
+  if (plan != nullptr) fault = plan->draw_msg_fault();
   // A read has no separate ACK — the response *is* the acknowledgment — so
   // both fault flavours collapse to retry exhaustion with no data moved.
   // Reads are idempotent, which is why the clean full-retry (no duplicate
@@ -338,9 +337,8 @@ void Port::service(QueuePair* qp, int eng) {
   auto& engine = send_engines_[static_cast<std::size_t>(eng)];
   auto& rengine = dport.recv_engines_[static_cast<std::size_t>(dst->recv_engine_idx_)];
 
-  // Route resolution: a pure function of (source lid, destination lid), so
-  // it can run on any shard without coordination.  The hops histogram is
-  // counted source-side for the same reason.
+  // Route resolution: a pure function of (source lid, destination lid).  The
+  // hops histogram is counted source-side.
   Topology& topo = hca_->fabric().topology();
   const Route route = topo.resolve(lid_, dport.lid_);
   ++hops_hist_[static_cast<std::size_t>(std::min(route.count, kMaxRouteHops))];
@@ -350,9 +348,8 @@ void Port::service(QueuePair* qp, int eng) {
     // single header-only request packet, which (like all control traffic)
     // rides the latency-only path even in contention mode.  Everything else —
     // rkey translation, payload streaming, the response pipeline — runs on
-    // the responder port once the request lands there (read_respond).  The
-    // forward latency is >= one wire + switch hop, so the cross-shard post
-    // below is conservative-sync safe.
+    // the responder port once the request lands there (read_respond), one
+    // forward latency plus the downlink wire after the fetch.
     ++wqes_serviced_;
     auto fetch = engine.reserve_time(now, now, P.wqe_fetch);
     sim.at(fetch.finish, [this, eng, qp] { engine_done(eng, qp); });
@@ -370,9 +367,8 @@ void Port::service(QueuePair* qp, int eng) {
     st->src_qp_num = dst->num_;
     st->wr = std::move(wr);
     Port* rp = &dport;
-    sim::Simulator& dsim = dhca.simulator();
     const sim::Time t_req = fetch.finish + route.fwd_latency + F.wire_latency;
-    sim.post(dsim, t_req, [rp, st = std::move(st)]() mutable { rp->read_respond(std::move(st)); });
+    sim.at(t_req, [rp, st = std::move(st)]() mutable { rp->read_respond(std::move(st)); });
     return;
   }
 
@@ -474,7 +470,7 @@ void Port::service(QueuePair* qp, int eng) {
   sim.at(t_stage2, [this, st = std::move(st)]() mutable { stage_engine(std::move(st)); });
 }
 
-// Responder side of an RDMA Read (runs on the responder port's shard).
+// Responder side of an RDMA Read (runs on the responder port).
 void Port::read_respond(std::unique_ptr<Transfer> st) {
   sim::Simulator& sim = hca_->simulator();
   const HcaParams& P = hca_->params();
@@ -499,7 +495,7 @@ void Port::read_respond(std::unique_ptr<Transfer> st) {
     wc.byte_len = st->wr.length;
     wc.qp_num = reqr->num_;
     wc.timestamp = cqe_time;
-    sim.post(reqr->port().hca().simulator(), cqe_time, [reqr, wc] { reqr->scq_->push(wc); });
+    sim.at(cqe_time, [reqr, wc] { reqr->scq_->push(wc); });
     return;
   }
 
@@ -599,43 +595,36 @@ void Port::stage_uplink(std::unique_ptr<Transfer> st) {
     // to the closed-form path this refactor replaced).  tx_last advances to
     // the arrival bound at the final switch's egress (see Transfer).
     //
-    // Shard hand-off point: the forward latency >= one wire + switch hop,
-    // which is exactly the parallel engine's lookahead window, so t_next is
-    // always >= the epoch's window end and the cross-shard post below can
-    // never violate conservative sync.  From stage 4 on, everything runs on
-    // the *destination* port (and thus the destination HCA's simulator/
-    // shard) — the event invokes the method on st->dport, which is also why
-    // stages 4-6 may use their own hca_ freely.
+    // From stage 4 on, everything runs on the *destination* port: the event
+    // invokes the method on st->dport, which is why stages 4-6 may use their
+    // own hca_ freely.
     const sim::Time fwd_lat = topo.fwd_latency(lid_, st->dport->lid_);
     st->tx_last += fwd_lat;
     const sim::Time t_next = s_tx.start + st->t_tx_seg + fwd_lat;
-    sim::Simulator& dsim = st->dport->hca().simulator();
     Port* dport = st->dport;
-    sim.post(dsim, t_next,
-             [dport, st = std::move(st)]() mutable { dport->stage_downlink(std::move(st)); });
+    sim.at(t_next,
+           [dport, st = std::move(st)]() mutable { dport->stage_downlink(std::move(st)); });
     return;
   }
 
   // Contention mode: traverse the route switch by switch (each hop event
   // re-resolves the route — a pure function — rather than carrying it).  The
   // first hop arrives one wire + switch after its first segment leaves the
-  // uplink — at least the lookahead window, so the post is conservative-sync
-  // safe even when the source edge switch lives on another shard.
+  // uplink.
   const Route route = topo.resolve(lid_, st->dport->lid_);
   Switch* sw = &topo.switch_at(route.hop[0].sw);
   const sim::Time t_hop = s_tx.start + st->t_tx_seg + F.wire_latency + F.switch_latency;
-  sim.post(*sw->simulator(), t_hop,
-           [sw, st = std::move(st)]() mutable { sw->hop(std::move(st)); });
+  sim.at(t_hop, [sw, st = std::move(st)]() mutable { sw->hop(std::move(st)); });
 }
 
-// Stage 3b (contention mode only): one event per switch traversal, running
-// on the switch's own simulator.  Reserves the shared backplane (arbitration
-// capped at nonblocking_radix ports' worth of bandwidth) and, for
-// switch-to-switch links, the output port's serializer; tracks output-queue
-// depth against the configured buffer.  The fabric is lossless, so a full
-// buffer is a counted stall (credit backpressure), never a drop.
+// Stage 3b (contention mode only): one event per switch traversal.  Reserves
+// the shared backplane (arbitration capped at nonblocking_radix ports' worth
+// of bandwidth) and, for switch-to-switch links, the output port's
+// serializer; tracks output-queue depth against the configured buffer.  The
+// fabric is lossless, so a full buffer is a counted stall (credit
+// backpressure), never a drop.
 void Switch::hop(std::unique_ptr<Transfer> st) {
-  sim::Simulator& sim = *sim_;
+  sim::Simulator& sim = st->dhca->simulator();
   const sim::Time now = sim.now();
   const FabricParams& F = topo_->fabric_params();
   const Route route = topo_->resolve(st->qp->port().lid(), st->dport->lid());
@@ -675,22 +664,17 @@ void Switch::hop(std::unique_ptr<Transfer> st) {
   ++st->hop_idx;
   if (st->hop_idx >= route.count) {
     // Final switch: hand the message to the destination port's downlink.
-    // Hosts are co-sharded with their edge switch (assign_switch_sims
-    // enforces it), so this sub-window post never crosses a shard.
     Port* dport = st->dport;
-    sim::Simulator& dsim = dport->hca().simulator();
     const sim::Time t_down = start + st->t_tx_seg;  // before the lambda moves st
-    sim.post(dsim, t_down,
-             [dport, st = std::move(st)]() mutable { dport->stage_downlink(std::move(st)); });
+    sim.at(t_down,
+           [dport, st = std::move(st)]() mutable { dport->stage_downlink(std::move(st)); });
     return;
   }
-  // Next switch: first segment out + wire + its switch latency.  Always
-  // >= the lookahead window, so cross-shard hops are conservative-sync safe.
+  // Next switch: first segment out + wire + its switch latency.
   Switch* next = &topo_->switch_at(route.hop[st->hop_idx].sw);
   const sim::Time wire_out = h.global ? topo_->global_wire_latency() : F.wire_latency;
   const sim::Time t_next = start + st->t_tx_seg + wire_out + F.switch_latency;
-  sim.post(*next->simulator(), t_next,
-           [next, st = std::move(st)]() mutable { next->hop(std::move(st)); });
+  sim.at(t_next, [next, st = std::move(st)]() mutable { next->hop(std::move(st)); });
 }
 
 // Stage 4: switch egress / downlink towards the destination port.
@@ -755,20 +739,17 @@ void Port::stage_dest_bus(std::unique_ptr<Transfer> st) {
 void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
                            sim::Time cqe_time) {
   // Runs on the source port (small-message fast path) or the destination
-  // port (bulk pipeline tail); `sim` is whichever shard is executing.  The
-  // delivery lands on the responder's shard, the CQE on the requester's —
-  // post() degenerates to plain at() whenever those coincide.
+  // port (bulk pipeline tail).  Schedules the delivery into responder host
+  // memory and the requester's CQE.
   sim::Simulator& sim = hca_->simulator();
-  sim::Simulator& dsim = st->dport->hca().simulator();
   if (st->wr.opcode == Opcode::RdmaRead) {
     // Read response landing: place the data in requester host memory (the
     // requester-local destination was stashed in remote_addr by
-    // read_respond), then complete on the requester's *send* CQ.  Both
-    // events live on the requester shard (dsim); the delivery fires first
-    // (strictly earlier, or FIFO at an equal instant since it is pushed
-    // first), so the CQE observes the data.
+    // read_respond), then complete on the requester's *send* CQ.  The
+    // delivery fires first (strictly earlier, or FIFO at an equal instant
+    // since it is pushed first), so the CQE observes the data.
     Transfer* raw = st.get();
-    sim.post(dsim, delivered, [raw] {
+    sim.at(delivered, [raw] {
       if (raw->wr.length > 0) {
         std::memcpy(reinterpret_cast<std::byte*>(raw->wr.remote_addr), raw->wr.src,
                     raw->wr.length);
@@ -776,10 +757,10 @@ void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
     });
     if (!st->wr.signaled) {
       // Keep the Transfer alive until the delivery event has consumed it.
-      sim.post(dsim, delivered, [st = std::move(st)] {});
+      sim.at(delivered, [st = std::move(st)] {});
       return;
     }
-    sim.post(dsim, cqe_time, [st = std::move(st), cqe_time] {
+    sim.at(cqe_time, [st = std::move(st), cqe_time] {
       Wc wc;
       wc.wr_id = st->wr.wr_id;
       wc.opcode = WcOpcode::RdmaReadComplete;
@@ -792,26 +773,23 @@ void Port::finish_transfer(std::unique_ptr<Transfer> st, sim::Time delivered,
   }
   if (!st->wr.signaled) {
     // Data visible in responder host memory → deliver (copy + CQE).
-    sim.post(dsim, delivered, [st = std::move(st)] {
+    sim.at(delivered, [st = std::move(st)] {
       (void)st->dport->deliver(st->dst, st->wr, st->src_qp_num);
     });
     return;
   }
   // The delivery event fires before the CQE event (strictly earlier time, or
-  // FIFO order at an equal instant since it is pushed first; across shards
-  // the CQE trails delivery by a full ACK round — more than the lookahead
-  // window — so it lands in a later epoch), so it may set the Transfer's
-  // failure verdict for the CQE event to read.
-  sim::Simulator& rsim = st->qp->port().hca().simulator();
+  // FIFO order at an equal instant since it is pushed first), so it may set
+  // the Transfer's failure verdict for the CQE event to read.
   Transfer* raw = st.get();
-  sim.post(dsim, delivered, [raw] {
+  sim.at(delivered, [raw] {
     if (!raw->dport->deliver(raw->dst, raw->wr, raw->src_qp_num)) {
       // RNR drop → requester error CQE.  deliver() can only return false
       // with a FaultPlan attached.
       raw->failed = true;
     }
   });
-  sim.post(rsim, cqe_time, [st = std::move(st), cqe_time] {
+  sim.at(cqe_time, [st = std::move(st), cqe_time] {
     Wc wc;
     wc.wr_id = st->wr.wr_id;
     wc.opcode =
@@ -901,8 +879,8 @@ bool Port::deliver(QueuePair* dst_qp, const SendWr& wr, QpNum src_qp_num) {
 
 // ---------------------------------------------------------------------- Hca
 
-Hca::Hca(Fabric& fabric, int node, const HcaParams& params, sim::Simulator& sim, int uid)
-    : fabric_(&fabric), sim_(&sim), node_(node), uid_(uid), params_(params),
+Hca::Hca(Fabric& fabric, int node, const HcaParams& params)
+    : fabric_(&fabric), sim_(&fabric.simulator()), node_(node), params_(params),
       bus_(params.bus_dir_rate_gbps, params.bus_core_rate_gbps) {
   for (int i = 0; i < params.ports; ++i) {
     ports_.push_back(std::unique_ptr<Port>(new Port(*this, i)));

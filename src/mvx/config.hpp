@@ -151,27 +151,6 @@ struct Config {
   /// built (smallest fabric of that shape that fits every port).
   ib::TopologySpec topo;
 
-  // ---- parallel simulation ------------------------------------------------
-  /// Simulator shards (OS threads) for the conservative parallel engine
-  /// (sim/shard.hpp).  1 (the default) runs the single-threaded engine.
-  /// N > 1 partitions nodes over min(N, nodes) shards on the same wiring
-  /// path; each connection handshake completes as a serial action with
-  /// every shard stopped, so simulated-time results match the
-  /// single-threaded oracle.
-  int sim_shards = 1;
-
-  /// Node → shard placement for sim_shards > 1.  RoundRobin is the legacy
-  /// node-index-modulo-shards layout; Locality places nodes by their edge
-  /// switch (or dragonfly group), so fabric neighbours share a shard and
-  /// fewer transfers cross the conservative-sync boundary.  Auto picks
-  /// RoundRobin on a crossbar (every placement is equivalent there — keeps
-  /// legacy runs bit-identical) and Locality on fat-tree/dragonfly shapes.
-  /// Contention mode with sim_shards > 1 requires Locality: every Switch::hop
-  /// chain ends with a same-shard hand-off to the destination host, which
-  /// only holds when hosts are co-sharded with their edge switch.
-  enum class ShardPlacement { Auto, RoundRobin, Locality };
-  ShardPlacement shard_placement = ShardPlacement::Auto;
-
   // ---- fault injection / failover ----------------------------------------
   /// Deterministic fault model (ib::FaultPlan) plus the transport's failover
   /// response.  With enabled == false (the default) every fault hook in the

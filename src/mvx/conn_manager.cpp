@@ -35,17 +35,8 @@ void ConnManager::initiate(int peer) {
   pc.st = State::Connecting;
   ++inflight_;
   inflight_hwm_.track_max(static_cast<std::uint64_t>(inflight_));
-  sim::Simulator& sim = host_.simulator();
-  // (rank + 1, initiation count): unique per instant and the same under any
-  // shard count.  Same-instant handshakes complete rank by rank, each rank's
-  // in the order it started them — the unsharded order whenever ranks start
-  // them in rank order, as every run does at its start.  Keys below 2^32
-  // stay free for link events (ib::FaultPlan), which the unsharded run
-  // schedules before anything else at their instant.
-  const std::uint64_t order =
-      (static_cast<std::uint64_t>(host_.rank() + 1) << 32) | initiated_++;
-  sim.post_serial(sim.now() + host_.config().conn_setup_latency, order,
-                  [this, peer] { complete_handshake(peer); });
+  host_.simulator().after(host_.config().conn_setup_latency,
+                          [this, peer] { complete_handshake(peer); });
 }
 
 void ConnManager::complete_handshake(int peer) {

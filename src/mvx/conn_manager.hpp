@@ -13,10 +13,8 @@
 // by World) wires both endpoints of the pair at once and marks both sides
 // Ready; the loser's handshake completion then just flushes.
 //
-// The handshake completion is a serial action (sim::Simulator::post_serial):
-// the two endpoints of a pair may live on different simulator shards, and
-// wiring touches both of them plus fabric-wide counters (QP numbers, receive
-// engine round-robin).  Unsharded it is an ordinary event.
+// The handshake completion is an ordinary event `conn_setup_latency` after
+// the initiation; it wires both endpoints of the pair at once.
 //
 // Sends posted while Connecting are queued FIFO per peer and flushed — in
 // order, through the endpoint's send router in event context — when the
@@ -105,9 +103,6 @@ class ConnManager {
   /// queued_peers() costs O(queued), not O(peers).
   std::set<int> queued_;
   int inflight_ = 0;
-  /// Handshakes this rank has started; with the rank it keys the serial
-  /// completion, so same-instant completions run in initiation order.
-  std::uint32_t initiated_ = 0;
 
   Counter& established_;
   Counter& inflight_hwm_;

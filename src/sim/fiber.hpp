@@ -18,10 +18,7 @@
 // it with a kill flag; see sim::Process).
 //
 // Under AddressSanitizer the switches are annotated with the sanitizer fiber
-// API so ASan tracks the active stack region correctly; under
-// ThreadSanitizer they use the TSan fiber API so the race detector follows
-// the logical thread of execution across stack switches (required for the
-// sharded parallel engine's TSan CI lane).
+// API so ASan tracks the active stack region correctly.
 #pragma once
 
 #include <cstdint>
@@ -46,18 +43,6 @@
 
 #ifdef IB12X_ASAN_FIBERS
 #include <sanitizer/common_interface_defs.h>
-#endif
-
-#if defined(__SANITIZE_THREAD__)
-#define IB12X_TSAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define IB12X_TSAN_FIBERS 1
-#endif
-#endif
-
-#ifdef IB12X_TSAN_FIBERS
-#include <sanitizer/tsan_interface.h>
 #endif
 
 #ifdef IB12X_FIBER_FAST_SWITCH
@@ -91,12 +76,6 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-#ifdef IB12X_TSAN_FIBERS
-  ~Fiber() {
-    if (tsan_fiber_ != nullptr) __tsan_destroy_fiber(tsan_fiber_);
-  }
-#endif
-
   [[nodiscard]] bool started() const { return started_; }
   [[nodiscard]] bool finished() const { return finished_; }
 
@@ -109,11 +88,6 @@ class Fiber {
     }
 #ifdef IB12X_ASAN_FIBERS
     __sanitizer_start_switch_fiber(&host_fake_stack_, stack_base(), stack_bytes_);
-#endif
-#ifdef IB12X_TSAN_FIBERS
-    if (tsan_fiber_ == nullptr) tsan_fiber_ = __tsan_create_fiber(0);
-    tsan_host_ = __tsan_get_current_fiber();
-    __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
 #ifdef IB12X_FIBER_FAST_SWITCH
     ib12x_ctx_switch(&host_sp_, fiber_sp_);
@@ -129,9 +103,6 @@ class Fiber {
   void yield() {
 #ifdef IB12X_ASAN_FIBERS
     __sanitizer_start_switch_fiber(&fiber_fake_stack_, host_stack_bottom_, host_stack_size_);
-#endif
-#ifdef IB12X_TSAN_FIBERS
-    __tsan_switch_to_fiber(tsan_host_, 0);
 #endif
 #ifdef IB12X_FIBER_FAST_SWITCH
     ib12x_ctx_switch(&fiber_sp_, host_sp_);
@@ -199,9 +170,6 @@ class Fiber {
     // Exiting for good: tell ASan this fake stack can be destroyed.
     __sanitizer_start_switch_fiber(nullptr, host_stack_bottom_, host_stack_size_);
 #endif
-#ifdef IB12X_TSAN_FIBERS
-    __tsan_switch_to_fiber(tsan_host_, 0);
-#endif
 #ifdef IB12X_FIBER_FAST_SWITCH
     ib12x_ctx_switch(&fiber_sp_, host_sp_);  // never returns
 #else
@@ -226,10 +194,6 @@ class Fiber {
   void* fiber_fake_stack_ = nullptr;
   const void* host_stack_bottom_ = nullptr;
   std::size_t host_stack_size_ = 0;
-#endif
-#ifdef IB12X_TSAN_FIBERS
-  void* tsan_fiber_ = nullptr;
-  void* tsan_host_ = nullptr;
 #endif
 };
 

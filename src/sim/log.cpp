@@ -1,10 +1,8 @@
 #include "sim/log.hpp"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 namespace ib12x::sim {
 
@@ -21,14 +19,8 @@ LogLevel level_from_env() {
   return LogLevel::Warn;
 }
 
-// Relaxed atomic: the level is set once up front (env or a test helper) and
-// read from every shard thread; no ordering is needed, only tear-freedom.
-std::atomic<int> g_level{static_cast<int>(level_from_env())};
-
-std::mutex& sink_mutex() {
-  static std::mutex m;
-  return m;
-}
+// Set once up front (env or a test helper).
+LogLevel g_level = level_from_env();
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -43,18 +35,13 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-void set_log_level(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
+LogLevel log_level() { return g_level; }
+void set_log_level(LogLevel level) { g_level = level; }
 
 namespace detail {
 
 void vlog(LogLevel level, Time now, const char* fmt, ...) {
-  // Format into a local buffer first so the mutex only covers the final
-  // write and concurrent shards cannot interleave fragments of a line.
+  // Format into a local buffer first so the line reaches stderr whole.
   char line[1024];
   int off = std::snprintf(line, sizeof line, "[%s %12.3fus] ", level_name(level), to_us(now));
   if (off < 0) off = 0;
@@ -64,7 +51,6 @@ void vlog(LogLevel level, Time now, const char* fmt, ...) {
     std::vsnprintf(line + off, sizeof line - static_cast<std::size_t>(off), fmt, ap);
     va_end(ap);
   }
-  std::lock_guard<std::mutex> lock(sink_mutex());
   std::fputs(line, stderr);
   std::fputc('\n', stderr);
 }

@@ -1,10 +1,8 @@
 // Minimal leveled logging.  Verbosity comes from the IB12X_LOG environment
 // variable (error|warn|info|debug|trace); default is warn so simulations are
-// quiet unless asked.  Shard-safe: the level check in IB12X_LOG is a relaxed
-// atomic load (lock-free on the hot path, which is overwhelmingly "level too
-// low, skip"), and emission formats into a local buffer and writes one line
-// at a time under a mutex so concurrent shard threads never interleave
-// mid-line (see shard.hpp).
+// quiet unless asked.  The level check in IB12X_LOG is one integer compare
+// (the hot path is overwhelmingly "level too low, skip"), and emission
+// formats into a local buffer and writes it as one line.
 #pragma once
 
 #include <cstdio>

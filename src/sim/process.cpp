@@ -52,7 +52,7 @@ void Process::fiber_main() {
   // Falling off the end returns control to the driver (Fiber::run_body).
 }
 
-thread_local Process* Process::current_ = nullptr;
+Process* Process::current_ = nullptr;
 
 void Process::resume() {
   state_ = State::Running;
@@ -96,16 +96,8 @@ Process& ProcessSet::add(std::string name, Process::Body body) {
 }
 
 void ProcessSet::run_all(Time when) {
-  start_all(when);
-  sim_.run();
-  finish_all();
-}
-
-void ProcessSet::start_all(Time when) {
   for (auto& p : procs_) p->start(when);
-}
-
-void ProcessSet::finish_all() {
+  sim_.run();
   bool all_done = true;
   std::string stuck;
   for (auto& p : procs_) {

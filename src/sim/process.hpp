@@ -55,11 +55,11 @@ class Process {
   void start(Time when = 0);
 
   /// The process whose fiber is currently executing, or nullptr from
-  /// event/driver context.  Exactly one fiber runs at a time *per shard
-  /// thread*, so a thread-local pointer suffices; code that can run on
-  /// behalf of more than one fiber (e.g. the endpoint's send path, used by
-  /// both the rank's main process and its collective-progress process) uses
-  /// this to charge CPU to the right one.
+  /// event/driver context.  Exactly one fiber runs at a time, so one static
+  /// pointer suffices; code that can run on behalf of more than one fiber
+  /// (e.g. the endpoint's send path, used by both the rank's main process and
+  /// its collective-progress process) uses this to charge CPU to the right
+  /// one.
   [[nodiscard]] static Process* current() { return current_; }
 
   [[nodiscard]] int id() const { return id_; }
@@ -116,7 +116,7 @@ class Process {
   std::exception_ptr error_;
   Fiber fiber_;
 
-  static thread_local Process* current_;
+  static Process* current_;
 };
 
 /// Owns a set of processes and drives them to completion.
@@ -130,13 +130,6 @@ class ProcessSet {
   /// finish, and rethrows the first process failure.  Throws std::runtime_error
   /// naming the blocked processes if the system deadlocks.
   void run_all(Time when = 0);
-
-  /// Split form for callers that drive the event loop themselves (the
-  /// sharded World runs one ProcessSet per shard under a single parallel
-  /// engine): start_all schedules the first activations, finish_all performs
-  /// exactly the post-run failure/deadlock checks of run_all.
-  void start_all(Time when = 0);
-  void finish_all();
 
   [[nodiscard]] std::size_t size() const { return procs_.size(); }
   [[nodiscard]] Process& at(std::size_t i) { return *procs_[i]; }

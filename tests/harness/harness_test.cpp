@@ -84,38 +84,6 @@ TEST(TelemetryTable, ExposesRendezvousAndDoorbellCounters) {
   EXPECT_GT(rows["hca.doorbells"], 0.0);
 }
 
-TEST(TelemetryTable, ExposesShardGaugesInShardedRuns) {
-  // Under sim_shards > 1 the bench-harness telemetry table must surface the
-  // parallel-engine group: shard count, epochs, cross-shard events, mailbox
-  // high water, and one barrier-wait wall gauge per shard.
-  mvx::Config cfg = mvx::Config::enhanced(4, mvx::Policy::EPC);
-  cfg.sim_shards = 2;
-  mvx::World w(mvx::ClusterSpec{2, 1}, cfg);
-  w.run([](mvx::Communicator& c) {
-    constexpr std::size_t kBytes = 1 << 20;
-    std::vector<std::byte> buf(kBytes);
-    if (c.rank() == 0) {
-      c.send(buf.data(), kBytes, mvx::BYTE, 1, 0);
-    } else {
-      c.recv(buf.data(), kBytes, mvx::BYTE, 0, 0);
-    }
-  });
-
-  const Table t = telemetry_table(w);
-  std::map<std::string, double> rows;
-  for (std::size_t i = 0; i < t.row_count(); ++i) rows[t.row_label(i)] = t.value(i, 0);
-  for (const char* name :
-       {"sim.shard.count", "sim.shard.epochs", "sim.shard.cross_events",
-        "sim.shard.mailbox_hwm", "sim.shard.wall.barrier_ns.s0",
-        "sim.shard.wall.barrier_ns.s1"}) {
-    ASSERT_TRUE(rows.count(name)) << name << " missing from telemetry table";
-  }
-  EXPECT_EQ(rows["sim.shard.count"], 2.0);
-  EXPECT_GT(rows["sim.shard.epochs"], 0.0);
-  EXPECT_GT(rows["sim.shard.cross_events"], 0.0);
-  EXPECT_GE(rows["sim.shard.mailbox_hwm"], 1.0);
-}
-
 TEST(TelemetryTable, ExposesSwitchGaugesOnRoutedTopologies) {
   // On a routed topology the per-layer table must carry the fabric.switch.*
   // group: switch count, routed packets, stall/drop counters, the output

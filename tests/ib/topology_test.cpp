@@ -333,8 +333,7 @@ TEST(TopologyContention, TinyOutputBuffersCountStallsNeverDrops) {
 
 TEST(TopologyContention, ContentionOffCarriesNoSwitchCounters) {
   // The non-contended path must never touch switch queue state (that is what
-  // keeps it bit-identical to the legacy formula and shard-safe without
-  // switch placement).
+  // keeps it bit-identical to the legacy formula).
   Hotspot h(TopologySpec{}, /*senders=*/4, /*bytes=*/64 * 1024);
   h.run();
   const Topology& topo = h.fabric->topology();

@@ -1,13 +1,16 @@
 // Connection-scaling refactor coverage: the lazy connection manager's state
 // machine (queue/flush FIFO, simultaneous connect, rendezvous-first contact)
 // and the SRQ-backed pooled eager path (low-watermark replenish, RNR-style
-// pool-dry backpressure), plus the telemetry-asserted scaling properties —
-// QPs and pinned eager bytes O(active peers), not O(ranks²).
+// pool-dry backpressure), the end-of-run audit, plus the telemetry-asserted
+// scaling properties — QPs and pinned eager bytes O(active peers), not
+// O(ranks²).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -72,10 +75,8 @@ TEST(ConnScaling, SetupLatencyBelowOneHopNamesField) {
     EXPECT_NE(msg.find("conn_setup_latency"), std::string::npos) << msg;
     EXPECT_NE(msg.find("fabric.wire_latency"), std::string::npos) << msg;
   }
-  // Exactly one hop is allowed, sharded too (the handshake then completes
-  // exactly one lookahead window out).
+  // Exactly one hop is allowed.
   cfg.conn_setup_latency = hop;
-  cfg.sim_shards = 2;
   World w(ClusterSpec{2, 1}, cfg);
   w.run([](Communicator& c) { ring_exchange(c, 256); });
   EXPECT_EQ(w.telemetry().counter_value("conn.established"), 2u);
@@ -96,6 +97,44 @@ TEST(ConnScaling, RunEndsWithUnsettledWiringThrowsNamingRankAndPeer) {
     EXPECT_NE(msg.find("rank 0"), std::string::npos) << msg;
     EXPECT_NE(msg.find("peer 1"), std::string::npos) << msg;
   }
+}
+
+/// Runs `body` on two ranks (two nodes) and returns the end-of-run audit's
+/// message; fails the test if the run does not throw.
+std::string audit_error(const std::function<void(Communicator&)>& body) {
+  World w = testutil::make_pair_world(Config{});
+  try {
+    w.run(body);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected the end-of-run audit to throw";
+  return {};
+}
+
+TEST(WorldAudit, UnreceivedSendThrowsNamingRank) {
+  // Rank 0's eager message lands in rank 1's unexpected queue and stays.
+  const std::string msg = audit_error([](Communicator& c) {
+    if (c.rank() == 0) {
+      const std::vector<std::byte> out = payload(64, 0, 5);
+      c.send(out.data(), out.size(), BYTE, 1, 5);
+    }
+  });
+  EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("posted_count = 0"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("unexpected_count = 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("reorder_count = 0"), std::string::npos) << msg;
+}
+
+TEST(WorldAudit, UnwaitedIrecvThrowsNamingRank) {
+  // Rank 1 posts a receive that nothing sends to and never waits on it.
+  std::vector<std::byte> in(64);  // outlives the run: the receive stays posted
+  const std::string msg = audit_error([&in](Communicator& c) {
+    if (c.rank() == 1) (void)c.irecv(in.data(), in.size(), BYTE, 0, 9);
+  });
+  EXPECT_NE(msg.find("rank 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("posted_count = 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("unexpected_count = 0"), std::string::npos) << msg;
 }
 
 TEST(ConnScaling, LinearFootprintAt256Ranks) {

@@ -1,8 +1,7 @@
 // Virtual communication interfaces: config validation, the per-(peer, ctx,
 // vci) matcher keys, multi-threaded ranks on dedicated vs. shared VCIs, the
-// gated vci.* telemetry, fault soak with several VCIs live, and sharded-run
-// oracle identity.  Suite names contain "Vci" so CI's TSan lane picks the
-// multi-threaded-rank tests up by regex.
+// gated vci.* telemetry, fault soak with several VCIs live, and run-twice
+// reproducibility of multi-threaded multi-VCI ranks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -499,22 +498,20 @@ TEST(VciFaultSoak, ReplayedEagerStaysInItsOwnVciSlice) {
   EXPECT_EQ(soak(true), 2u) << "a replayed VCI 0 eager left its VCI slice (VCI 1 used)";
 }
 
-// ------------------------------------------------------------- sharded
+// ------------------------------------------------------- reproducibility
 
-TEST(VciShard, ShardedRunMatchesUnshardedOracle) {
-  // Multi-threaded multi-VCI ranks under the parallel engine must stay
-  // bit-identical to the single-threaded oracle.  Every VCI group wires with
-  // the connection, inside the handshake's serial action, so no shard ever
-  // wires a QP while the others run.
-  auto digest = [](int shards) {
+TEST(VciEndToEnd, MultiThreadMultiVciRunIsBitReproducible) {
+  // Four threads on four VCIs per rank, every VCI group wired when its
+  // connection's handshake completes: two runs must agree on the end time
+  // and every telemetry metric, and every payload must arrive intact.
+  auto digest = [] {
     Config cfg = Config::enhanced(2, Policy::EPC);
-    cfg.sim_shards = shards;
     cfg.vci.count = 4;
     cfg.vci.threads = 4;
     World w(ClusterSpec{4, 1}, cfg);
     w.run([](Communicator& c) {
       const int t = c.thread_id();
-      const int peer = c.rank() ^ 1;  // cross-node (and cross-shard) pairs
+      const int peer = c.rank() ^ 1;  // cross-node pairs
       constexpr int kMsgs = 12;
       std::vector<std::vector<std::byte>> rbufs, sbufs;
       std::vector<Request> reqs;
@@ -527,28 +524,27 @@ TEST(VciShard, ShardedRunMatchesUnshardedOracle) {
         reqs.push_back(c.isend(sbufs.back().data(), bytes, BYTE, peer, tag));
       }
       c.waitall(reqs);
+      for (int i = 0; i < kMsgs; ++i) {
+        const std::size_t bytes = (i % 2 == 0) ? 512 : 48 * 1024;
+        ASSERT_EQ(rbufs[static_cast<std::size_t>(i)], payload(bytes, peer, t * 1000 + i))
+            << "rank " << c.rank() << " thread " << t << " msg " << i;
+      }
     });
     std::vector<std::pair<std::string, double>> snap;
     for (const auto& s : w.telemetry().snapshot()) {
-      if (s.name.rfind("sim.wall.", 0) == 0 || s.name.rfind("sim.shard.", 0) == 0 ||
-          s.name == "sim.kernel_allocs" || s.name == "sim.allocs_per_event") {
-        continue;
-      }
+      if (s.name.rfind("sim.wall.", 0) == 0) continue;
       snap.emplace_back(s.name, s.value);
     }
-    return std::make_pair(w.end_time(), snap);
+    return std::make_tuple(w.events_processed(), w.end_time(), snap);
   };
-  const auto oracle = digest(1);
-  for (int shards : {2, 4}) {
-    const auto sharded = digest(shards);
-    EXPECT_EQ(oracle.first, sharded.first) << "end time diverged at " << shards << " shards";
-    ASSERT_EQ(oracle.second.size(), sharded.second.size());
-    for (std::size_t i = 0; i < oracle.second.size(); ++i) {
-      EXPECT_EQ(oracle.second[i].first, sharded.second[i].first);
-      EXPECT_EQ(oracle.second[i].second, sharded.second[i].second)
-          << oracle.second[i].first << " diverged between " << shards
-          << "-shard and oracle runs";
-    }
+  const auto [events, end, snap] = digest();
+  const auto [events2, end2, snap2] = digest();
+  EXPECT_EQ(events, events2);
+  EXPECT_EQ(end, end2);
+  ASSERT_EQ(snap.size(), snap2.size());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ(snap[i].first, snap2[i].first);
+    EXPECT_EQ(snap[i].second, snap2[i].second) << snap[i].first << " diverged between runs";
   }
 }
 
