@@ -3,9 +3,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "mvx/endpoint.hpp"
+
 namespace ib12x::mvx {
 
-ConnManager::ConnManager(ChannelHost& host)
+ConnManager::ConnManager(Endpoint& host)
     : host_(host),
       established_(host.telemetry().counter("conn.established")),
       inflight_hwm_(host.telemetry().counter("conn.handshakes_inflight")) {}
@@ -46,7 +48,7 @@ void ConnManager::complete_handshake(int peer) {
     // Simultaneous connect: the peer's handshake landed first and its wire
     // function already built this pair (and marked us Ready).  Nothing to
     // wire — just make sure anything queued meanwhile drains.
-    if (flush_fn_) flush_fn_(peer);
+    host_.flush_queued(peer);
     return;
   }
   if (!wire_fn_) {
@@ -66,7 +68,7 @@ void ConnManager::mark_ready(int peer) {
   if (pc.st == State::Ready) return;
   pc.st = State::Ready;
   established_.inc();
-  if (flush_fn_) flush_fn_(peer);
+  host_.flush_queued(peer);
 }
 
 void ConnManager::check_settled() const {

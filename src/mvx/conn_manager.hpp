@@ -13,12 +13,9 @@
 // by World) wires both endpoints of the pair at once and marks both sides
 // Ready; the loser's handshake completion then just flushes.
 //
-// The handshake completion is an ordinary event `conn_setup_latency` after
-// the initiation; it wires both endpoints of the pair at once.
-//
 // Sends posted while Connecting are queued FIFO per peer and flushed — in
 // order, through the endpoint's send router in event context — when the
-// peer turns Ready (`flush_fn_`, provided by Endpoint).
+// peer turns Ready (Endpoint::flush_queued).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +23,6 @@
 #include <set>
 #include <vector>
 
-#include "mvx/channel.hpp"
 #include "mvx/peer_table.hpp"
 #include "mvx/policy.hpp"
 #include "mvx/request.hpp"
@@ -34,6 +30,8 @@
 #include "sim/fifo.hpp"
 
 namespace ib12x::mvx {
+
+class Endpoint;
 
 /// One send captured while its peer's handshake is in flight (or parked
 /// behind exhausted eager resources).  `buf` stays owned by the MPI caller:
@@ -51,7 +49,7 @@ class ConnManager {
  public:
   enum class State : std::uint8_t { Unconnected, Connecting, Ready };
 
-  explicit ConnManager(ChannelHost& host);
+  explicit ConnManager(Endpoint& host);
 
   ConnManager(const ConnManager&) = delete;
   ConnManager& operator=(const ConnManager&) = delete;
@@ -59,9 +57,6 @@ class ConnManager {
   /// Wires one pair end to end (both sides' QPs and rails) once a
   /// handshake completes; must call mark_ready on both sides' managers.
   void set_wire_fn(std::function<void(int)> fn) { wire_fn_ = std::move(fn); }
-  /// Drains a Ready peer's send queue through the send router in event
-  /// context.
-  void set_flush_fn(std::function<void(int)> fn) { flush_fn_ = std::move(fn); }
 
   [[nodiscard]] State state(int peer) const;
   [[nodiscard]] bool ready(int peer) const { return state(peer) == State::Ready; }
@@ -97,7 +92,7 @@ class ConnManager {
     sim::Fifo<QueuedSend> q;  ///< allocates nothing for a peer that never queues
   };
 
-  ChannelHost& host_;
+  Endpoint& host_;
   PeerTable<PeerConn> peers_;
   /// Peers whose queue is non-empty, kept ascending by enqueue/pop_front so
   /// queued_peers() costs O(queued), not O(peers).
@@ -108,7 +103,6 @@ class ConnManager {
   Counter& inflight_hwm_;
 
   std::function<void(int)> wire_fn_;
-  std::function<void(int)> flush_fn_;
 };
 
 }  // namespace ib12x::mvx

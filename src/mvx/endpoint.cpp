@@ -1,5 +1,6 @@
 #include "mvx/endpoint.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -17,10 +18,14 @@ namespace ib12x::mvx {
 
 Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
                    const Config& cfg, TelemetryRegistry& tel)
-    : sim_(sim), rank_(rank), node_(node), cfg_(cfg), tel_(tel) {
+    : sim_(sim),
+      rank_(rank),
+      node_(node),
+      cfg_(cfg),
+      tel_(tel),
+      vci_cpu_(static_cast<std::size_t>(std::max(1, cfg.vci.count))) {
   matcher_ = std::make_unique<Matcher>(tel_);
   conn_ = std::make_unique<ConnManager>(*this);
-  conn_->set_flush_fn([this](int peer) { flush_queued(peer); });
   net_ = std::make_unique<NetChannel>(*this, std::move(node_hcas));
   shm_ = std::make_unique<ShmChannel>(*this);
   rndv_ = std::make_unique<Rendezvous>(*this, *net_);
@@ -29,9 +34,6 @@ Endpoint::Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*
   // VCI machinery and its gated vci.* counters exist only when enabled, so
   // the default configuration allocates nothing and snapshots are unchanged.
   if (cfg_.vci.count > 1 || cfg_.vci.threads > 1) {
-    for (int v = 1; v < cfg_.vci.count; ++v) {
-      vci_cpu_.push_back(std::make_unique<sim::Server>());
-    }
     if (cfg_.vci.threads > 1) {
       vci_locked_.assign(static_cast<std::size_t>(std::max(1, cfg_.vci.count)), 0);
     }
@@ -55,21 +57,9 @@ void Endpoint::connect_shm(Endpoint& a, Endpoint& b) {
   ShmChannel::connect(*a.shm_, *b.shm_);
 }
 
-void Endpoint::schedule_cpu(sim::Time cost, std::function<void()> fn) {
-  auto r = cpu_.reserve(sim_.now(), sim_.now(), cost);
-  sim_.at(r.finish, std::move(fn));
-}
-
 void Endpoint::schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) {
   if (vci_wakeups_ != nullptr) vci_wakeups_->inc();
-  if (vci <= 0 || vci_cpu_.empty()) {
-    // VCI 0 (and every message in the default configuration) stays on the
-    // legacy serialized server — bit-identical single-channel timing.
-    schedule_cpu(cost, std::move(fn));
-    return;
-  }
-  sim::Server& srv = *vci_cpu_.at(static_cast<std::size_t>(vci) - 1);
-  auto r = srv.reserve(sim_.now(), sim_.now(), cost);
+  auto r = vci_cpu_.at(static_cast<std::size_t>(vci)).reserve(sim_.now(), sim_.now(), cost);
   sim_.at(r.finish, std::move(fn));
 }
 
@@ -127,6 +117,29 @@ sim::Time Endpoint::memcpy_time(std::int64_t bytes) const {
   return sim::transfer_time(bytes, cfg_.memcpy_gbps);
 }
 
+void Endpoint::finish_buffered_send(SendContext sc, const Request& req) {
+  if (sc == SendContext::Event) {
+    complete_request(req);
+    return;
+  }
+  req->done = true;
+  req->completed_at = sim_.now();
+}
+
+MsgHeader Endpoint::sequenced_header(MsgType type, int peer, CommKind kind, int vci, int tag,
+                                     int ctx, std::int64_t bytes) {
+  MsgHeader hdr;
+  hdr.type = type;
+  hdr.kind = static_cast<std::uint8_t>(kind);
+  hdr.vci = static_cast<std::uint8_t>(vci);
+  hdr.src_rank = rank_;
+  hdr.tag = tag;
+  hdr.ctx = ctx;
+  hdr.seq = matcher_->next_send_seq(peer, ctx, vci);
+  hdr.size = static_cast<std::uint64_t>(bytes);
+  return hdr;
+}
+
 // --------------------------------------------------------------- public API
 
 Request Endpoint::start_send(CommKind kind, const void* buf, std::int64_t bytes, int dst,
@@ -168,10 +181,10 @@ bool Endpoint::route_send(SendContext sc, int dst, const QueuedSend& s) {
   // shm for a peer on this node; otherwise the net channel, split at the
   // rendezvous threshold between the eager protocol and the RTS/CTS/FIN
   // state machine.
-  if (shm_->accepts(dst, s.bytes)) {
+  if (shm_->accepts(dst)) {
     return shm_->send(sc, dst, s.kind, s.buf, s.bytes, s.tag, s.ctx, s.req);
   }
-  if (!net_->accepts(dst, s.bytes)) {
+  if (!net_->accepts(dst)) {
     throw std::logic_error("Endpoint " + std::to_string(rank_) + ": no connection to rank " +
                            std::to_string(dst));
   }
@@ -273,35 +286,6 @@ void Endpoint::ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> pa
   }
 }
 
-void Endpoint::on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) {
-  if (hdr.type == MsgType::Cts) {
-    // CTS handling consumes host CPU before the stripes are posted.
-    schedule_cpu_vci(hdr.vci, cfg_.ctl_cpu, [this, hdr, rkeys] { rndv_->on_cts(hdr, rkeys); });
-  } else if (hdr.type == MsgType::Done) {
-    rndv_->on_done(hdr);
-  } else {  // Fin
-    rndv_->on_fin(hdr);
-  }
-}
-
-void Endpoint::on_rndv_write_done(int peer, std::uint64_t req_id) {
-  rndv_->on_write_done(peer, req_id);
-}
-
-void Endpoint::on_rndv_write_failed(int peer, const RndvStripe& st) {
-  rndv_->on_write_failed(peer, st);
-}
-
-void Endpoint::on_rndv_read_done(int peer, std::uint64_t req_id) {
-  rndv_->on_read_done(peer, req_id);
-}
-
-void Endpoint::on_rndv_read_failed(int peer, const RndvStripe& st) {
-  rndv_->on_read_failed(peer, st);
-}
-
-void Endpoint::on_rndv_imm(std::uint32_t imm_data) { rndv_->on_imm(imm_data); }
-
 void Endpoint::flush_queued(int peer) {
   while (conn_->has_queued(peer)) {
     // Resources dry: the freeing CQE re-flushes.
@@ -310,7 +294,7 @@ void Endpoint::flush_queued(int peer) {
   }
 }
 
-void Endpoint::on_eager_resources_freed(int /*peer*/) {
+void Endpoint::on_eager_resources_freed() {
   // The bounce pool and the SRQ eager slot arena are shared across peers, so
   // the freed resource can unblock any queued peer — not just the one whose
   // CQE fired.

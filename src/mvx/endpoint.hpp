@@ -1,23 +1,15 @@
-// The ADI-layer endpoint: one per MPI rank.
+// The ADI-layer endpoint: one per MPI rank (paper fig. 2, DESIGN.md
+// "Architecture").  It owns the parts of the ADI — ShmChannel and NetChannel
+// (each with its per-peer transport state), the Matcher, the Rendezvous
+// engine, the ConnManager and the CollEngine — and the parts hold an
+// `Endpoint&` and call it directly.
 //
-// Since the channel decomposition this is a thin facade over the layered
-// architecture (paper fig. 2, DESIGN.md "Architecture"):
-//
-//   * channels — ShmChannel (intra-node) and NetChannel (rails, credits,
-//     eager protocol, completion filter); each owns its per-peer transport
-//     state;
-//   * Matcher — posted/unexpected queues, per-(pair, ctx) sequencing and
-//     reordering, probe semantics;
-//   * Rendezvous — RTS/CTS/FIN state machine, stripe planning, the
-//     registration cache;
-//   * TelemetryRegistry — named counters/gauges every layer registers.
-//
-// The facade routes each send to shm when the peer shares the node and to
+// The endpoint routes each send to shm when the peer shares the node and to
 // the net channel otherwise (eager below the rendezvous threshold, an RTS
 // above it), glues in-order arrivals into matching and protocol dispatch,
-// and owns the two cross-cutting resources: the serialized host-CPU server
-// for event-context protocol work, and the progress waitable blocking calls
-// park on.
+// and owns the two cross-cutting resources: one serialized host-CPU
+// progress server per VCI for event-context protocol work, and the progress
+// waitable blocking calls park on.
 //
 // Threading model: the owning rank's code runs in process context (and is
 // charged CPU via Process::compute); network completions arrive in event
@@ -25,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "mvx/channel.hpp"
@@ -56,7 +50,7 @@ class Rendezvous;
 class ShmChannel;
 class TelemetryRegistry;
 
-class Endpoint final : public ChannelHost {
+class Endpoint {
  public:
   Endpoint(sim::Simulator& sim, int rank, int node, std::vector<ib::Hca*> node_hcas,
            const Config& cfg, TelemetryRegistry& tel);
@@ -77,6 +71,8 @@ class Endpoint final : public ChannelHost {
   [[nodiscard]] ConnManager& conn() { return *conn_; }
   /// The inter-node channel (rails, credits, eager pools).
   [[nodiscard]] NetChannel& net() { return *net_; }
+  /// The rendezvous engine (the net channel's completion filter feeds it).
+  [[nodiscard]] Rendezvous& rndv() { return *rndv_; }
 
   /// Binds the simulated process that runs this rank's code.
   void attach_process(sim::Process* p) { proc_ = p; }
@@ -112,38 +108,67 @@ class Endpoint final : public ChannelHost {
   /// Blocking probe: waits until iprobe succeeds.
   void probe(int src, int tag, int ctx, Status* st);
 
-  [[nodiscard]] int rank() const override { return rank_; }
+  [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int node() const { return node_; }
   /// The process to charge CPU to: the currently executing fiber when there
   /// is one (the rank's own, or its collective-progress helper), otherwise
   /// the attached rank process.  This is what routes channel-level compute()
   /// charges to whichever fiber is actually driving the endpoint.
-  [[nodiscard]] sim::Process& process() const override {
+  [[nodiscard]] sim::Process& process() const {
     if (sim::Process* cur = sim::Process::current()) return *cur;
     return *proc_;
   }
   /// The schedule executor for this rank's collectives.
   [[nodiscard]] coll::CollEngine& coll_engine() { return *coll_engine_; }
-  [[nodiscard]] sim::Simulator& simulator() const override { return sim_; }
-  [[nodiscard]] const Config& config() const override { return cfg_; }
+  [[nodiscard]] sim::Simulator& simulator() const { return sim_; }
+  [[nodiscard]] const Config& config() const { return cfg_; }
 
-  // ---- ChannelHost surface (channels and protocol modules call these) ----
+  // ---- services for the endpoint's parts (channels, rendezvous, conn) ----
 
-  Matcher& matcher() override { return *matcher_; }
-  TelemetryRegistry& telemetry() override { return tel_; }
-  sim::Waitable& progress() override { return progress_; }
-  void schedule_cpu(sim::Time cost, std::function<void()> fn) override;
-  void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn) override;
-  [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const override;
-  void ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> payload) override;
-  void on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) override;
-  void on_rndv_write_done(int peer, std::uint64_t req_id) override;
-  void on_rndv_write_failed(int peer, const RndvStripe& st) override;
-  void on_rndv_read_done(int peer, std::uint64_t req_id) override;
-  void on_rndv_read_failed(int peer, const RndvStripe& st) override;
-  void on_rndv_imm(std::uint32_t imm_data) override;
-  void on_eager_resources_freed(int peer) override;
-  void complete_request(const Request& req) override;
+  Matcher& matcher() { return *matcher_; }
+  TelemetryRegistry& telemetry() { return tel_; }
+  /// The progress waitable blocking calls park on; channels notify it when
+  /// resources (credits, bounce buffers, live rails) free up.
+  sim::Waitable& progress() { return progress_; }
+  /// Serializes event-context protocol work (stripe posting, CQE handling,
+  /// control processing, receive copies) on VCI `vci`'s progress server:
+  /// `fn` runs once the server has spent `cost` on it.
+  void schedule_cpu_vci(int vci, sim::Time cost, std::function<void()> fn);
+  [[nodiscard]] sim::Time memcpy_time(std::int64_t bytes) const;
+
+  /// Charges `cost` of send-side host CPU, then runs `post`: inline on the
+  /// calling process in process context, on VCI `vci`'s progress server in
+  /// event context.
+  template <class Fn>
+  void charge_send_cpu(SendContext sc, int vci, sim::Time cost, Fn&& post) {
+    if (sc == SendContext::Process) {
+      process().compute(cost);
+      post();
+    } else {
+      schedule_cpu_vci(vci, cost, std::forward<Fn>(post));
+    }
+  }
+  /// Completes a buffered send once it is posted: directly in process
+  /// context (nobody waits on it yet), through complete_request in event
+  /// context.
+  void finish_buffered_send(SendContext sc, const Request& req);
+  /// The header of one sequenced message (Eager or Rts) to `peer`, claiming
+  /// the next sequence number of (peer, ctx, vci).
+  MsgHeader sequenced_header(MsgType type, int peer, CommKind kind, int vci, int tag, int ctx,
+                             std::int64_t bytes);
+
+  /// Entry point for every sequenced inbound message (Eager/Rts): ordering,
+  /// matching, and protocol dispatch.  Event context.
+  void ingress(int peer, const MsgHeader& hdr, std::vector<std::byte> payload);
+  /// Drains `peer`'s queued sends in FIFO order through route_send in event
+  /// context, stopping at the first one that cannot get resources (a later
+  /// CQE re-flushes).
+  void flush_queued(int peer);
+  /// A send-side eager resource (bounce buffer, credit, rail) returned to
+  /// the shared pool: flushes every queued Ready peer.  Event context.
+  void on_eager_resources_freed();
+  /// Marks `req` complete and wakes waiters.
+  void complete_request(const Request& req);
 
  private:
   /// Routes one send to the channel that accepts it (shm → net eager →
@@ -151,10 +176,6 @@ class Endpoint final : public ChannelHost {
   /// process context, flush_queued in event context; false means event
   /// context found the resources dry and claimed nothing.
   bool route_send(SendContext sc, int dst, const QueuedSend& s);
-  /// Drains `peer`'s queued sends in FIFO order through route_send in event
-  /// context, stopping at the first one that cannot get resources (a later
-  /// CQE re-flushes).
-  void flush_queued(int peer);
   /// Matched eager arrival: copy out, then complete after the copy's CPU
   /// time has been charged (on the message's VCI progress server).
   void complete_recv(const Request& req, const MsgHeader& hdr, const std::byte* payload,
@@ -181,14 +202,13 @@ class Endpoint final : public ChannelHost {
   std::unique_ptr<Rendezvous> rndv_;
   std::unique_ptr<coll::CollEngine> coll_engine_;
 
-  sim::Server cpu_;  ///< serialized host-CPU time for event-context protocol work
+  /// One progress server per VCI (max(1, vci.count) of them): each
+  /// serializes its own VCI's event-context protocol work on this rank's
+  /// host CPU and runs in parallel with the others.
+  std::vector<sim::Server> vci_cpu_;
   sim::Waitable progress_;
 
   // ---- VCI state (all empty/null in the default configuration) ----
-  /// Dedicated progress servers of VCIs 1.. (VCI 0 keeps the legacy cpu_
-  /// server, so single-VCI timing is bit-identical); each serializes its own
-  /// VCI's event-context protocol work and runs in parallel with the others.
-  std::vector<std::unique_ptr<sim::Server>> vci_cpu_;
   /// Registered app-thread fibers, indexed by thread id.
   std::vector<sim::Process*> thread_procs_;
   /// Per-VCI lock word (allocated only when vci.threads > 1).

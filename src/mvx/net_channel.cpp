@@ -6,11 +6,13 @@
 #include <utility>
 
 #include "ib/fault.hpp"
+#include "mvx/endpoint.hpp"
+#include "mvx/rendezvous.hpp"
 
 namespace ib12x::mvx {
 
-NetChannel::NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas)
-    : Channel(host),
+NetChannel::NetChannel(Endpoint& host, std::vector<ib::Hca*> hcas)
+    : host_(host),
       hcas_(std::move(hcas)),
       fault_enabled_(host.config().fault.enabled),
       eager_sent_(host.telemetry().counter("net.eager_sent")),
@@ -192,7 +194,7 @@ const NetChannel::Peer& NetChannel::peer(int rank) const {
   return const_cast<NetChannel*>(this)->peer(rank);
 }
 
-bool NetChannel::accepts(int peer_rank, std::int64_t /*bytes*/) const {
+bool NetChannel::accepts(int peer_rank) const {
   return peers_.contains(peer_rank);
 }
 
@@ -330,12 +332,13 @@ void NetChannel::post_msg(SendContext sc, int peer_rank, int rail, const MsgHead
   }
   const int bounce = acquire_bounce_and_credit(c, rail);
   const std::int64_t wire = write_bounce(bounce, hdr, payload, bytes);
-  charge_send_cpu(host_, sc, hdr.vci, cpu, [this, sc, peer_rank, rail, bounce, wire, bytes, done] {
+  host_.charge_send_cpu(sc, hdr.vci, cpu,
+                        [this, sc, peer_rank, rail, bounce, wire, bytes, done] {
     post_bounce(peer(peer_rank), peer_rank, rail, bounce, wire, /*attempts=*/0);
     if (done == nullptr) return;
     eager_sent_.inc();
     bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-    finish_buffered_send(host_, sc, done);  // eager sends are buffered
+    host_.finish_buffered_send(sc, done);  // eager sends are buffered
   });
 }
 
@@ -368,7 +371,7 @@ bool NetChannel::send(SendContext sc, int peer_rank, CommKind kind, const void* 
     return false;
   }
   post_msg(sc, peer_rank, rail,
-           sequenced_header(host_, MsgType::Eager, peer_rank, kind, vci, tag, ctx, bytes), buf,
+           host_.sequenced_header(MsgType::Eager, peer_rank, kind, vci, tag, ctx, bytes), buf,
            bytes,
            cfg.post_cpu + host_.memcpy_time(static_cast<std::int64_t>(kHeaderBytes) + bytes),
            req);
@@ -595,7 +598,7 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         if (fault_enabled_ && !pending_retry_.empty()) flush_pending_retries();
         if (!pending_imm_.empty()) flush_pending_imm();
         flush_pending_ctl(sctx->peer);
-        host_.on_eager_resources_freed(sctx->peer);
+        host_.on_eager_resources_freed();
         host_.progress().notify_all();
         break;
       }
@@ -605,11 +608,11 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
           const RndvStripe st = it->second;
           inflight_stripe_.erase(it);
           if (failed) {
-            host_.on_rndv_write_failed(sctx->peer, st);
+            host_.rndv().on_write_failed(sctx->peer, st);
             break;
           }
         }
-        host_.on_rndv_write_done(sctx->peer, sctx->req_id);
+        host_.rndv().on_write_done(sctx->peer, sctx->req_id);
         break;
       }
       case SendCtx::Kind::RndvRead: {
@@ -618,11 +621,11 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
           const RndvStripe st = it->second;
           inflight_stripe_.erase(it);
           if (failed) {
-            host_.on_rndv_read_failed(sctx->peer, st);
+            host_.rndv().on_read_failed(sctx->peer, st);
             break;
           }
         }
-        host_.on_rndv_read_done(sctx->peer, sctx->req_id);
+        host_.rndv().on_read_done(sctx->peer, sctx->req_id);
         break;
       }
       case SendCtx::Kind::RndvImm: {
@@ -640,10 +643,10 @@ void NetChannel::on_send_cqe(const ib::Wc& wc) {
         flush_pending_ctl(sctx->peer);
         host_.progress().notify_all();
         if (fault_enabled_ && failed) {
-          host_.on_rndv_write_failed(sctx->peer, st);
+          host_.rndv().on_write_failed(sctx->peer, st);
           break;
         }
-        host_.on_rndv_write_done(sctx->peer, sctx->req_id);
+        host_.rndv().on_write_done(sctx->peer, sctx->req_id);
         break;
       }
     }
@@ -670,7 +673,7 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
     // Write-with-imm rendezvous completion: the payload landed directly in
     // the matched user buffer, this slot was only consumed for the immediate
     // — there is no header to parse.  The slot recycles below as usual.
-    host_.on_rndv_imm(wc.imm_data);
+    host_.rndv().on_imm(wc.imm_data);
   } else {
     MsgHeader hdr = read_header(slot->data);
     const std::byte* payload = slot->data + kHeaderBytes;
@@ -693,12 +696,12 @@ void NetChannel::on_recv_cqe(const ib::Wc& wc) {
       case MsgType::Cts: {
         CtsRkeys rkeys;
         std::memcpy(&rkeys, payload, sizeof(rkeys));
-        host_.on_ctl(hdr, rkeys);
+        host_.rndv().on_ctl(hdr, rkeys);
         break;
       }
       case MsgType::Fin:
       case MsgType::Done: {
-        host_.on_ctl(hdr, CtsRkeys{});
+        host_.rndv().on_ctl(hdr, CtsRkeys{});
         break;
       }
     }
@@ -789,7 +792,7 @@ void NetChannel::try_recover_rail(int peer_rank, int rail) {
   flush_pending_retries();
   if (!pending_imm_.empty()) flush_pending_imm();
   flush_pending_ctl(peer_rank);
-  host_.on_eager_resources_freed(peer_rank);
+  host_.on_eager_resources_freed();
   host_.progress().notify_all();
 }
 

@@ -23,16 +23,19 @@
 #include "mvx/channel.hpp"
 #include "mvx/peer_table.hpp"
 #include "mvx/policy.hpp"
+#include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/fifo.hpp"
 #include "sim/page_mapping.hpp"
 
 namespace ib12x::mvx {
 
-class NetChannel final : public Channel {
+class Endpoint;
+
+class NetChannel {
  public:
-  NetChannel(ChannelHost& host, std::vector<ib::Hca*> hcas);
-  ~NetChannel() override;
+  NetChannel(Endpoint& host, std::vector<ib::Hca*> hcas);
+  ~NetChannel();
 
   /// Connects two channels, driven by the connection manager: creates each
   /// side's peer entry and — once per channel, at its first connection —
@@ -42,14 +45,15 @@ class NetChannel final : public Channel {
   /// [v·rails(), (v+1)·rails()) of the flat rail vector.
   static void establish(NetChannel& a, NetChannel& b);
 
-  [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
+  /// True once `peer` (on another node) is connected.
+  [[nodiscard]] bool accepts(int peer) const;
 
   /// Eager send (bytes < rndv_threshold); larger messages go through the
   /// Rendezvous module, which sends its RTS through the same core
   /// (admit + post_msg).  Returns false only in event context, with the
   /// rail cursor restored and nothing claimed.
   bool send(SendContext sc, int peer, CommKind kind, const void* buf, std::int64_t bytes,
-            int tag, int ctx, const Request& req) override;
+            int tag, int ctx, const Request& req);
 
   // ---- the send core for sequenced messages (eager and RTS) ----
   //
@@ -98,9 +102,6 @@ class NetChannel final : public Channel {
   [[nodiscard]] std::vector<int> live_rails(int peer, int vci) const;
   [[nodiscard]] bool fault_enabled() const { return fault_enabled_; }
 
-  /// Moved to namespace scope (channel.hpp) so the failover hand-back can
-  /// carry it; the member alias keeps NetChannel::RndvStripe spelling valid.
-  using RndvStripe = mvx::RndvStripe;
   void post_write(int peer, const RndvStripe& st);
   /// Posts a chunk's stripes as one doorbell batch: every WQE is built and
   /// appended deferred, then each involved rail's doorbell rings once
@@ -293,6 +294,7 @@ class NetChannel final : public Channel {
   void retry_eager(int peer_rank, int bounce, std::int64_t wire_bytes, int attempts);
   void flush_pending_retries();
 
+  Endpoint& host_;
   std::vector<ib::Hca*> hcas_;
 
   ib::CompletionQueue scq_;

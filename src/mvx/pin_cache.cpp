@@ -86,6 +86,13 @@ void PinCache::release(Region* r) {
   }
 }
 
+std::size_t PinCache::pinned() const {
+  // A zombie is deregistered on its last release, so every zombie is pinned.
+  return zombies_.size() + static_cast<std::size_t>(std::count_if(
+                               regions_.begin(), regions_.end(),
+                               [](const auto& kv) { return kv.second->pins > 0; }));
+}
+
 void PinCache::detach(Region* r) {
   lru_.erase(r->lru);
   resident_bytes_ -= r->len;

@@ -71,6 +71,9 @@ class PinCache {
 
   [[nodiscard]] std::int64_t resident_bytes() const { return resident_bytes_; }
   [[nodiscard]] std::size_t entries() const { return regions_.size(); }
+  /// Regions still pinned by an unreleased acquire — cached ones and
+  /// zombies alike.  0 once every acquire has been released.
+  [[nodiscard]] std::size_t pinned() const;
 
  private:
   /// Cache hit for [base, base+bytes) under the configured lookup mode, or

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "mvx/endpoint.hpp"
 #include "mvx/net_channel.hpp"
 #include "sim/log.hpp"
 
@@ -36,7 +37,7 @@ std::uint32_t chunk_count(const Config& cfg, std::int64_t total) {
 
 }  // namespace
 
-Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
+Rendezvous::Rendezvous(Endpoint& host, NetChannel& net)
     : host_(host),
       net_(net),
       rts_sent_(host.telemetry().counter("rndv.rts_sent")),
@@ -78,6 +79,25 @@ Rendezvous::Rendezvous(ChannelHost& host, NetChannel& net)
 }
 
 Rendezvous::~Rendezvous() = default;
+
+void Rendezvous::check_settled() const {
+  std::string left;
+  auto note = [&left](const char* what, std::size_t n) {
+    if (n != 0) left += (left.empty() ? "" : ", ") + std::string(what) + " = " + std::to_string(n);
+  };
+  note("outstanding_", outstanding_.size());
+  note("send_progress_", send_progress_.size());
+  note("recv_progress_", recv_progress_.size());
+  note("read_progress_", read_progress_.size());
+  note("send_meta_", send_meta_.size());
+  note("imm_state_", imm_state_.size());
+  note("chunks_seen_", chunks_seen_.size());
+  note("send_pins_", send_pins_.size());
+  note("pinned regions in the pin cache", pin_cache_->pinned());
+  if (left.empty()) return;
+  throw std::logic_error("World::audit: rank " + std::to_string(host_.rank()) +
+                         " ended the run with rendezvous state left: " + left);
+}
 
 // ----------------------------------------------------------------- cookies
 
@@ -182,7 +202,7 @@ bool Rendezvous::send_rts(SendContext sc, int peer, CommKind kind, std::int64_t 
     return false;
   }
 
-  MsgHeader hdr = sequenced_header(host_, MsgType::Rts, peer, kind, vci, tag, ctx, bytes);
+  MsgHeader hdr = host_.sequenced_header(MsgType::Rts, peer, kind, vci, tag, ctx, bytes);
   hdr.sender_cookie = new_cookie(req);
   int width = 0;
   const RndvProto proto = select_proto(peer, bytes, req, hdr.sender_cookie, &width);
@@ -191,7 +211,7 @@ bool Rendezvous::send_rts(SendContext sc, int peer, CommKind kind, std::int64_t 
   if (proto == RndvProto::ReadRts) {
     // The pin cost occupies the sender's CPU ahead of the RTS post.
     const sim::Time pin_cost = prepare_read_rts(hdr, req, bytes, width, rts_rkeys);
-    if (pin_cost > 0) charge_send_cpu(host_, sc, vci, pin_cost, [] {});
+    if (pin_cost > 0) host_.charge_send_cpu(sc, vci, pin_cost, [] {});
   } else if (cfg.rndv_pipeline) {
     send_progress_[hdr.sender_cookie].chunks_total = chunk_count(cfg, bytes);
   }
@@ -355,10 +375,10 @@ void Rendezvous::accept_read(const MsgHeader& rts, const Request& req, const Cts
   cost += cfg.wqe_build_cpu * static_cast<std::int64_t>(stripes.size()) + cfg.doorbell_cpu;
 
   const std::uint64_t base_raddr = rts.raddr;
-  std::vector<NetChannel::RndvStripe> batch;
+  std::vector<RndvStripe> batch;
   batch.reserve(stripes.size());
   for (const Stripe& st : stripes) {
-    NetChannel::RndvStripe wr;
+    RndvStripe wr;
     wr.rail = st.rail;
     // Read convention: src names the *local destination* slice, raddr/rkeys
     // the remote source (the sender's pinned buffer).
@@ -444,7 +464,7 @@ void Rendezvous::repost_read(int peer, const RndvStripe& st) {
   read_progress_.at(st.req_id).pending += static_cast<int>(parts.size()) - 1;
   if (read_stripes_ != nullptr) read_stripes_->add(parts.size());
 
-  std::vector<NetChannel::RndvStripe> batch;
+  std::vector<RndvStripe> batch;
   batch.reserve(parts.size());
   for (const Stripe& p : parts) {
     RndvStripe wr = st;  // inherits req_id, lkeys, rkeys, attempts
@@ -607,7 +627,7 @@ void Rendezvous::start_writes(int peer, const Request& req, const MsgHeader& cts
     host_.schedule_cpu_vci(req->vci, when,
                            [this, peer, st, req_id, raddr, rkeys, lkeys, fold, imm] {
       Request req = peek_cookie(req_id);
-      NetChannel::RndvStripe wr;
+      RndvStripe wr;
       wr.rail = st.rail;
       wr.src = static_cast<const std::byte*>(req->send_buf) + st.offset;
       wr.len = st.len;
@@ -682,10 +702,10 @@ void Rendezvous::start_chunk_writes(int peer, const Request& req, const MsgHeade
                                           chunk_base, off, rkeys, lkeys] {
     const std::uint64_t cookie = req_id & kCookieMask;
     Request req = peek_cookie(cookie);
-    std::vector<NetChannel::RndvStripe> batch;
+    std::vector<RndvStripe> batch;
     batch.reserve(stripes.size());
     for (const Stripe& st : stripes) {
-      NetChannel::RndvStripe wr;
+      RndvStripe wr;
       wr.rail = st.rail;
       wr.src = static_cast<const std::byte*>(req->send_buf) + st.offset;
       wr.len = st.len;
@@ -728,7 +748,7 @@ void Rendezvous::post_trailing_imm(int peer, std::uint64_t cookie, const Request
                                    const ImmState& im) {
   // Zero-byte write-with-imm: consumes a receiver slot but carries no data;
   // post_write_imm scans the VCI slice for a live rail with a credit.
-  NetChannel::RndvStripe wr;
+  RndvStripe wr;
   wr.rail = im.vci * net_.nrails(peer);
   wr.len = 0;
   wr.req_id = cookie;
@@ -859,7 +879,7 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
   }
   stripes_posted_.add(parts.size());
 
-  std::vector<NetChannel::RndvStripe> batch;
+  std::vector<RndvStripe> batch;
   batch.reserve(parts.size());
   for (const Stripe& p : parts) {
     RndvStripe wr = st;  // inherits req_id, lkeys, rkeys, attempts
@@ -872,6 +892,18 @@ void Rendezvous::repost_stripe(int peer, const RndvStripe& st) {
   host_.schedule_cpu_vci(
       vci, cfg.wqe_build_cpu * static_cast<std::int64_t>(batch.size()) + cfg.doorbell_cpu,
       [this, peer, batch = std::move(batch)] { net_.post_write_batch(peer, batch); });
+}
+
+void Rendezvous::on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys) {
+  if (hdr.type == MsgType::Cts) {
+    // CTS handling consumes host CPU before the stripes are posted.
+    host_.schedule_cpu_vci(hdr.vci, host_.config().ctl_cpu,
+                           [this, hdr, rkeys] { on_cts(hdr, rkeys); });
+  } else if (hdr.type == MsgType::Done) {
+    on_done(hdr);
+  } else {  // Fin
+    on_fin(hdr);
+  }
 }
 
 void Rendezvous::on_fin(const MsgHeader& hdr) {

@@ -42,16 +42,19 @@
 #include "ib/verbs.hpp"
 #include "mvx/channel.hpp"
 #include "mvx/pin_cache.hpp"
+#include "mvx/policy.hpp"
+#include "mvx/request.hpp"
 #include "mvx/rndv_policy.hpp"
 #include "mvx/telemetry.hpp"
 
 namespace ib12x::mvx {
 
+class Endpoint;
 class NetChannel;
 
 class Rendezvous {
  public:
-  Rendezvous(ChannelHost& host, NetChannel& net);
+  Rendezvous(Endpoint& host, NetChannel& net);
   ~Rendezvous();
 
   Rendezvous(const Rendezvous&) = delete;
@@ -71,12 +74,10 @@ class Rendezvous {
   void accept(const MsgHeader& rts, const Request& req,
               const std::vector<std::byte>& payload = {});
 
-  /// CTS arrival at the sender (event context, CPU already charged).
-  void on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys);
-  /// FIN arrival at the receiver (event context).
-  void on_fin(const MsgHeader& hdr);
-  /// Done arrival at the sender (ReadRts; event context).
-  void on_done(const MsgHeader& hdr);
+  /// Control arrival from the net channel (event context): a CTS is
+  /// processed once its ctl_cpu has been charged on the message's VCI
+  /// progress server; FIN and Done are handled at once.
+  void on_ctl(const MsgHeader& hdr, const CtsRkeys& rkeys);
   /// Write-with-imm landed on this receiving rank (WriteImm protocol): the
   /// imm word packs (vci << 28) | receiver_cookie and replaces the FIN.
   void on_imm(std::uint32_t imm_data);
@@ -89,12 +90,26 @@ class Rendezvous {
   void on_read_done(int peer, std::uint64_t req_id);
   void on_read_failed(int peer, const RndvStripe& st);
 
+  /// End-of-run audit: throws std::logic_error, naming this rank and each
+  /// non-empty structure with its count, if a cookie, progress record,
+  /// protocol ticket or sender pin is still held, or if the pin cache still
+  /// has a pinned region.  After a drained run any of these means a
+  /// completion was lost.
+  void check_settled() const;
+
   /// One planned RDMA-write stripe (the planning math lives in
   /// mvx::plan_stripes; the alias keeps Rendezvous::Stripe spelling valid
   /// for the stripe-planning tests).
   using Stripe = mvx::Stripe;
 
  private:
+  /// CTS arrival at the sender (event context, CPU already charged).
+  void on_cts(const MsgHeader& hdr, const CtsRkeys& rkeys);
+  /// FIN arrival at the receiver (event context).
+  void on_fin(const MsgHeader& hdr);
+  /// Done arrival at the sender (ReadRts; event context).
+  void on_done(const MsgHeader& hdr);
+
   /// Sender-side pipeline state, keyed by sender cookie (only present while
   /// Config::rndv_pipeline is driving the transfer).
   struct SendProgress {
@@ -184,7 +199,7 @@ class Rendezvous {
   Request take_cookie(std::uint64_t id);
   Request peek_cookie(std::uint64_t id);
 
-  ChannelHost& host_;
+  Endpoint& host_;
   NetChannel& net_;
 
   std::unique_ptr<PinCache> pin_cache_;

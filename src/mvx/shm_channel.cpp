@@ -4,10 +4,12 @@
 #include <utility>
 #include <vector>
 
+#include "mvx/endpoint.hpp"
+
 namespace ib12x::mvx {
 
-ShmChannel::ShmChannel(ChannelHost& host)
-    : Channel(host),
+ShmChannel::ShmChannel(Endpoint& host)
+    : host_(host),
       sent_(host.telemetry().counter("shm.sent")),
       bytes_sent_(host.telemetry().counter("shm.bytes_sent")) {}
 
@@ -20,14 +22,14 @@ void ShmChannel::connect(ShmChannel& a, ShmChannel& b) {
   pb.pipe = sim::BandwidthServer("shm", b.host_.config().shm_gbps);
 }
 
-bool ShmChannel::accepts(int peer, std::int64_t /*bytes*/) const {
+bool ShmChannel::accepts(int peer) const {
   return peers_.contains(peer);
 }
 
 bool ShmChannel::send(SendContext sc, int peer, CommKind kind, const void* buf,
                       std::int64_t bytes, int tag, int ctx, const Request& req) {
   const MsgHeader hdr =
-      sequenced_header(host_, MsgType::Eager, peer, kind, req->vci, tag, ctx, bytes);
+      host_.sequenced_header(MsgType::Eager, peer, kind, req->vci, tag, ctx, bytes);
   // Copy into the (modelled) shared segment; the sender's CPU does this.
   // Header + payload exceed the kernel's in-place event storage, so they are
   // boxed in one heap block the delivery event owns.
@@ -43,8 +45,8 @@ bool ShmChannel::send(SendContext sc, int peer, CommKind kind, const void* buf,
                       static_cast<const std::byte*>(buf) + bytes);
   }
   // The pipe is never refused, so neither context can fail.
-  charge_send_cpu(host_, sc, req->vci, host_.config().post_cpu + host_.memcpy_time(bytes),
-                  [this, sc, peer, d, bytes, req] {
+  host_.charge_send_cpu(sc, req->vci, host_.config().post_cpu + host_.memcpy_time(bytes),
+                        [this, sc, peer, d, bytes, req] {
     sim::Simulator& sim = host_.simulator();
     auto res = peers_.at(peer).pipe.reserve_bytes(
         sim.now(), sim.now(), static_cast<std::int64_t>(kHeaderBytes) + bytes);
@@ -52,7 +54,7 @@ bool ShmChannel::send(SendContext sc, int peer, CommKind kind, const void* buf,
            [d] { d->remote->deliver(d->src, d->hdr, std::move(d->payload)); });
     sent_.inc();
     bytes_sent_.add(static_cast<std::uint64_t>(bytes));
-    finish_buffered_send(host_, sc, req);
+    host_.finish_buffered_send(sc, req);
   });
   return true;
 }

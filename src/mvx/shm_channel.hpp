@@ -6,22 +6,29 @@
 
 #include "mvx/channel.hpp"
 #include "mvx/peer_table.hpp"
+#include "mvx/policy.hpp"
+#include "mvx/request.hpp"
 #include "mvx/telemetry.hpp"
 #include "sim/server.hpp"
 
 namespace ib12x::mvx {
 
-class ShmChannel final : public Channel {
+class Endpoint;
+
+class ShmChannel {
  public:
-  explicit ShmChannel(ChannelHost& host);
+  explicit ShmChannel(Endpoint& host);
 
   /// Connects two channels on the same node (both directions).
   static void connect(ShmChannel& a, ShmChannel& b);
 
-  [[nodiscard]] bool accepts(int peer, std::int64_t bytes) const override;
+  /// True if `peer` shares this node (and is connected).
+  [[nodiscard]] bool accepts(int peer) const;
 
+  /// Starts one message; the pipe is never refused, so it always returns
+  /// true.
   bool send(SendContext sc, int peer, CommKind kind, const void* buf, std::int64_t bytes,
-            int tag, int ctx, const Request& req) override;
+            int tag, int ctx, const Request& req);
 
  private:
   struct Peer {
@@ -32,6 +39,7 @@ class ShmChannel final : public Channel {
   /// Delivery on the receiving side (invoked by the sender's event).
   void deliver(int src, MsgHeader hdr, std::vector<std::byte> payload);
 
+  Endpoint& host_;
   PeerTable<Peer> peers_;
   Counter& sent_;
   Counter& bytes_sent_;

@@ -13,6 +13,7 @@
 #include "mvx/coll/engine.hpp"
 #include "mvx/conn_manager.hpp"
 #include "mvx/matcher.hpp"
+#include "mvx/rendezvous.hpp"
 #include "sim/time.hpp"
 
 #if defined(__GLIBC__)
@@ -302,6 +303,7 @@ void World::audit() const {
           " (messages never received), reorder_count = " + std::to_string(m.reorder_count()) +
           " (out-of-order arrivals never released)");
     }
+    ep->rndv().check_settled();
   }
 }
 

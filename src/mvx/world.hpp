@@ -59,9 +59,11 @@ class World {
   void wire_pair(int i, int j);
 
   /// End-of-run audit.  Throws std::logic_error naming the rank if any rank
-  /// still has a handshake Connecting or a queued send (and the peer), or if
+  /// still has a handshake Connecting or a queued send (and the peer), if
   /// its matcher still holds a posted receive, an unexpected message or a
-  /// parked out-of-order message (and the three counts).
+  /// parked out-of-order message (and the three counts), or if its
+  /// rendezvous engine still holds per-message state or a pinned region
+  /// (and each non-empty structure's count).
   void audit() const;
 
   ClusterSpec spec_;

@@ -131,5 +131,35 @@ TEST(PinCache, RegistrationCostsChargePagesOnMiss) {
   EXPECT_EQ(cost, 50);  // interval hit
 }
 
+TEST(PinCache, PinnedCountsRegionsUntilTheirLastRelease) {
+  CacheFixture fx;
+  PinCache c = fx.make(/*interval=*/true);
+  std::vector<std::byte> a(64 * 1024), b(64 * 1024);
+  sim::Time cost = 0;
+  EXPECT_EQ(c.pinned(), 0u);
+
+  auto* ra = c.acquire(a.data(), 32 * 1024, &cost);
+  auto* rb = c.acquire(b.data(), 64 * 1024, &cost);
+  EXPECT_EQ(c.pinned(), 2u);
+  auto* rb_again = c.acquire(b.data(), 64 * 1024, &cost);  // hit: one region, two pins
+  EXPECT_EQ(rb_again, rb);
+  EXPECT_EQ(c.pinned(), 2u);
+  c.release(rb_again);
+  EXPECT_EQ(c.pinned(), 2u);  // b still holds one pin
+  c.release(rb);
+  EXPECT_EQ(c.pinned(), 1u);
+
+  // A longer acquire from a's base replaces the pinned 32 KiB entry, which
+  // lingers as a zombie: it still counts until its own last release.
+  auto* ra_long = c.acquire(a.data(), 64 * 1024, &cost);
+  EXPECT_NE(ra_long, ra);
+  EXPECT_TRUE(ra->zombie);
+  EXPECT_EQ(c.pinned(), 2u);
+  c.release(ra_long);
+  EXPECT_EQ(c.pinned(), 1u);  // the zombie alone
+  c.release(ra);
+  EXPECT_EQ(c.pinned(), 0u);
+}
+
 }  // namespace
 }  // namespace ib12x::mvx
